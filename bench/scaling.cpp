@@ -187,9 +187,9 @@ void register_points() {
 
             // Re-optimization after a goal change: the same LP re-bounded
             // at tqos = 0.97 (only the QoS row rhs moves, so the shape —
-            // and therefore the exported basis / iterates — carries over),
-            // cold vs seeded from the 0.99 solve. This is the engine-level
-            // warm-start path the selector fan-out and planner reuse.
+            // and therefore the exported basis — carries over), cold vs
+            // warm-started from the 0.99 solve's basis. PDHG-routed points
+            // have no warm start, so both columns are cold re-solves there.
             auto re_options = options;
             re_options.run_rounding = false;
             bench::reset_metrics();
@@ -197,7 +197,7 @@ void register_points() {
                                          mcperf::classes::general(),
                                          re_options);
             class_cold_it = bench::metric_sum("bounds.iterations");
-            re_options.warm.seed = &detail;
+            re_options.warm.basis = &detail.solution.basis;
             bench::reset_metrics();
             bounds::compute_bound_detail(instance97,
                                          mcperf::classes::general(),

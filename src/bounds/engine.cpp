@@ -14,64 +14,6 @@ namespace wanplace::bounds {
 
 namespace {
 
-// Copy one variable cube's values from a seed solution into the target warm
-// vector wherever both models created the variable.
-void map_cube(const DenseCube<std::int32_t>& from_cube,
-              const DenseCube<std::int32_t>& to_cube,
-              const std::vector<double>& from_x, std::vector<double>& to_x) {
-  const std::size_t dx = std::min(from_cube.dim_x(), to_cube.dim_x());
-  const std::size_t dy = std::min(from_cube.dim_y(), to_cube.dim_y());
-  const std::size_t dz = std::min(from_cube.dim_z(), to_cube.dim_z());
-  for (std::size_t x = 0; x < dx; ++x)
-    for (std::size_t y = 0; y < dy; ++y)
-      for (std::size_t z = 0; z < dz; ++z) {
-        const std::int32_t from_var = from_cube(x, y, z);
-        const std::int32_t to_var = to_cube(x, y, z);
-        if (from_var >= 0 && to_var >= 0)
-          to_x[static_cast<std::size_t>(to_var)] =
-              from_x[static_cast<std::size_t>(from_var)];
-      }
-}
-
-// Map a seed solution's iterates onto a freshly built model. Same-shape
-// models (the knowledge/history/reactive classes differ from the general
-// class only in bounds and row coefficients, never in layout) copy
-// wholesale; otherwise the shared variable cubes, open variables and QoS
-// rows provide a partial map and everything unmatched starts cold (zero,
-// clamped to its box by the solver).
-bool map_warm_iterates(const BoundDetail& seed, const mcperf::BuiltModel& to,
-                       std::vector<double>& x, std::vector<double>& y) {
-  const mcperf::BuiltModel& from = seed.built;
-  const lp::LpSolution& sol = seed.solution;
-  if (sol.x.size() != from.model.variable_count() ||
-      sol.y.size() != from.model.row_count())
-    return false;
-  const std::size_t n = to.model.variable_count();
-  const std::size_t m = to.model.row_count();
-  if (sol.x.size() == n && sol.y.size() == m) {
-    x = sol.x;
-    y = sol.y;
-    return true;
-  }
-  x.assign(n, 0.0);
-  y.assign(m, 0.0);
-  map_cube(from.store, to.store, sol.x, x);
-  map_cube(from.create, to.create, sol.x, x);
-  map_cube(from.covered, to.covered, sol.x, x);
-  const std::size_t nodes = std::min(from.open.size(), to.open.size());
-  for (std::size_t node = 0; node < nodes; ++node)
-    if (from.open[node] >= 0 && to.open[node] >= 0)
-      x[static_cast<std::size_t>(to.open[node])] =
-          sol.x[static_cast<std::size_t>(from.open[node])];
-  for (const auto& trow : to.qos_rows)
-    for (const auto& frow : from.qos_rows)
-      if (trow.group == frow.group) {
-        y[trow.row] = sol.y[frow.row];
-        break;
-      }
-  return true;
-}
-
 // Deterministic closest-routing audit for tree instances. The LP's
 // assignment rows encode "served by the first stored ancestor" exactly, but
 // the rounding pass only knows the weaker "some reachable ancestor" coverage
@@ -177,8 +119,6 @@ BoundDetail bound_pipeline(const mcperf::Instance& instance,
     // bit-identical for every value, like the PDHG matvecs).
     simplex.parallelism = options.parallelism;
     const lp::BasisSnapshot* basis = options.warm.basis;
-    if (basis == nullptr && options.warm.seed != nullptr)
-      basis = &options.warm.seed->solution.basis;
     if (basis != nullptr &&
         basis->compatible(detail.bound.lp_variables, detail.bound.lp_rows)) {
       // A near-optimal basis for a perturbed model is dual-feasible (or a
@@ -194,13 +134,6 @@ BoundDetail bound_pipeline(const mcperf::Instance& instance,
     if (pdhg.infeasibility_threshold == lp::kInfinity)
       pdhg.infeasibility_threshold = 2 * instance.max_possible_cost() + 1;
     pdhg.parallelism = options.parallelism;
-    std::vector<double> warm_x, warm_y;
-    if (options.warm.seed != nullptr &&
-        map_warm_iterates(*options.warm.seed, detail.built, warm_x, warm_y)) {
-      pdhg.warm_x = &warm_x;
-      pdhg.warm_y = &warm_y;
-      warm_used = true;
-    }
     detail.solution = lp::solve_pdhg(detail.built.model, pdhg);
   }
   detail.bound.status = detail.solution.status;

@@ -15,8 +15,6 @@
 
 namespace wanplace::bounds {
 
-struct BoundDetail;
-
 struct BoundOptions {
   enum class Solver { Auto, Simplex, Pdhg };
   Solver solver = Solver::Auto;
@@ -39,21 +37,15 @@ struct BoundOptions {
   /// SimplexOptions::parallelism).
   std::size_t parallelism = 0;
 
-  /// Warm-start seed for the solve, typically the already-solved general
-  /// class of the same instance (the selector's per-class fan-out) or a
-  /// previous solve of the same model with perturbed bounds. `basis` feeds
-  /// the simplex dual method directly when its shape matches the freshly
-  /// built LP; `seed` covers both solvers — its exported basis serves the
-  /// simplex, and its primal/dual iterates are mapped onto the new model
-  /// for PDHG (wholesale when the shapes match, else partially through the
-  /// shared (node, interval, object) variable cubes and QoS rows). Both
-  /// borrowed for the call; null or incompatible seeds silently fall back
-  /// to a cold solve, and warm starts never change what the engine reports
-  /// beyond iteration counts (simplex results are basis-optimal either
-  /// way; PDHG bounds stay weak-duality certificates).
+  /// Warm start for a re-solve of a model with the same shape: the
+  /// daemon's per-event re-solve or a direct re-bound of a perturbed
+  /// instance. `basis` (borrowed for the call) feeds the simplex dual
+  /// method when its shape matches the LP; a null or incompatible basis,
+  /// and every PDHG-routed solve, starts cold. Warm starts never change
+  /// what the engine reports beyond iteration counts: simplex results are
+  /// basis-optimal either way.
   struct WarmStart {
     const lp::BasisSnapshot* basis = nullptr;
-    const BoundDetail* seed = nullptr;
   };
   WarmStart warm;
 };

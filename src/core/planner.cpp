@@ -126,8 +126,7 @@ DeploymentPlan DeploymentPlanner::plan(
   // what makes the warm start pay: a bounds-only perturbation leaves the
   // phase-1 basis dual feasible, so the dual simplex re-optimizes in a few
   // pivots (zeroing zeta would move the duals through the basic fractional
-  // open columns and force a cold fallback). PDHG models reuse the phase-1
-  // iterates instead.
+  // open columns and force a cold fallback). PDHG models re-solve cold.
   {
     obs::Span span("planner.phase2");
     lp::LpModel model = detail.built.model;
@@ -163,13 +162,6 @@ DeploymentPlan DeploymentPlanner::plan(
       if (pdhg.infeasibility_threshold == lp::kInfinity)
         pdhg.infeasibility_threshold = 2 * phase1.max_possible_cost() + 1;
       pdhg.parallelism = options_.bounds.parallelism;
-      if (options_.warm_phase2 &&
-          detail.solution.x.size() == model.variable_count() &&
-          detail.solution.y.size() == model.row_count()) {
-        pdhg.warm_x = &detail.solution.x;
-        pdhg.warm_y = &detail.solution.y;
-        warm = true;
-      }
       refit = lp::solve_pdhg(model, pdhg);
     }
     if (refit.status != lp::SolveStatus::Infeasible)

@@ -25,9 +25,9 @@ struct PlannerOptions {
   /// Skip the phase-2 class selection (callers that only need the open set
   /// and assignment, e.g. the Figure 3 bench that sweeps QoS itself).
   bool run_phase2 = true;
-  /// Warm-start the phase-2 re-optimization of the phase-1 LP from the
-  /// phase-1 result (dual simplex from the exported basis; PDHG from the
-  /// final iterates). The bound is the same either way — the switch exists
+  /// Warm-start the simplex phase-2 re-optimization of the phase-1 LP with
+  /// the dual method from the phase-1 basis. A PDHG-routed phase 2 always
+  /// re-solves cold. The bound is the same either way — the switch exists
   /// so benches can measure warm vs cold pivot counts.
   bool warm_phase2 = true;
 };

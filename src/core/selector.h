@@ -20,42 +20,22 @@
 
 namespace wanplace::core {
 
-struct SelectionReport;
-
 struct SelectorOptions {
   /// Classes to evaluate; empty means default_classes().
   std::vector<mcperf::ClassSpec> classes;
   bounds::BoundOptions bounds;
-  /// Concurrent class-bound solves (each class builds and solves its own
-  /// independent LP): 0 = hardware concurrency, 1 = the sequential seed
-  /// path. Reports are bit-identical for every value; when solving classes
-  /// concurrently each per-class solve runs serially (no nested pools).
+  /// Concurrent bound solves. The general class and every candidate class
+  /// each build and solve their own independent LP, so they fan out
+  /// together: 0 = hardware concurrency, 1 = the general class first, then
+  /// every class in order, serially. Reports are bit-identical for every
+  /// value; when solving concurrently each solve runs serially (no nested
+  /// pools).
   std::size_t parallelism = 0;
-  /// Seed every class solve from the general solve of the same instance.
-  /// The general LP relaxes every class, so its optimal basis (simplex:
-  /// re-optimized with the dual method) and iterates (PDHG: mapped through
-  /// the shared variable cubes) are near-optimal starts for the constrained
-  /// classes. Purely a work-saving knob: simplex class bounds are
-  /// basis-optimal exactly as in a cold solve and PDHG bounds remain
-  /// certified, and reports stay bit-identical for every `parallelism`
-  /// value because the seed is always the general solve — never whichever
-  /// sibling class happened to finish first.
-  bool warm_start = true;
   /// Keep the full BoundDetail of every solve in SelectionReport::details
   /// (models, LP solutions with duals, rounding results). Off by default:
   /// details hold the whole LP per class. Needed for `--report`-style
   /// sensitivity output (obs::make_solve_report).
   bool keep_details = false;
-  /// Cross-run warm carry (the continuous re-placement service): a prior
-  /// SelectionReport of a drifted copy of the same instance over the SAME
-  /// class list, solved with keep_details so its per-solve bases survive.
-  /// Each solve — general and per-class — then warm-starts from its own
-  /// previous basis (positionally matched, never a sibling, so reports stay
-  /// bit-identical at every parallelism value); a shape-incompatible basis
-  /// falls back to the engine's cold path. Composes with `warm_start`,
-  /// which still seeds classes from this run's general solve when no
-  /// previous basis is available. Borrowed for the select() call.
-  const SelectionReport* previous = nullptr;
 };
 
 struct SelectionReport {

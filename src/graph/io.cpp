@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -45,10 +46,15 @@ Topology load_topology(std::istream& in) {
       Edge edge;
       if (!(fields >> edge.from >> edge.to >> edge.latency_ms))
         fail("bad edge");
-      // Optional fourth field: a finite bandwidth cap (requests/interval).
-      double bandwidth = 0;
-      if (fields >> bandwidth) {
-        if (bandwidth <= 0) fail("bad edge bandwidth");
+      // Optional fourth field, and nothing after it: a finite bandwidth cap
+      // (requests/interval).
+      std::string token, extra;
+      if (fields >> token) {
+        char* end = nullptr;
+        const double bandwidth = std::strtod(token.c_str(), &end);
+        if (*end != '\0' || !(bandwidth > 0) || !std::isfinite(bandwidth) ||
+            fields >> extra)
+          fail("bad edge bandwidth");
         edge.bandwidth = bandwidth;
       }
       if (topology)

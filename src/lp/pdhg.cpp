@@ -180,32 +180,12 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
     if (cost_norm > 1e-12 && rhs_norm > 1e-12) weight = cost_norm / rhs_norm;
   }
 
+  // Cold start: every variable at its nearest finite bound (the origin
+  // when free), every dual at zero.
   std::vector<double> x(cols), y(rows, 0.0);
-  bool warm = false;
-  if (options.warm_x != nullptr && options.warm_x->size() == cols) {
-    // Warm primal seed: map into the scaled space and clamp to the
-    // canonical box (the seed may come from a model with looser bounds).
-    for (std::size_t j = 0; j < cols; ++j)
-      x[j] = std::clamp((*options.warm_x)[j] / canon.col_scale[j],
-                        canon.lower[j], canon.upper[j]);
-    warm = true;
-  } else {
-    for (std::size_t j = 0; j < cols; ++j) {
-      const double lo = canon.lower[j], up = canon.upper[j];
-      x[j] = std::isfinite(lo) ? lo : (std::isfinite(up) ? up : 0.0);
-    }
-  }
-  if (options.warm_y != nullptr && options.warm_y->size() == rows) {
-    // Warm dual seed: undo the sign flip of negated (Le) rows, rescale,
-    // and project inequality duals onto the nonnegative cone.
-    for (std::size_t r = 0; r < rows; ++r) {
-      double v = (*options.warm_y)[r];
-      if (canon.negated[r]) v = -v;
-      v /= canon.row_scale[r];
-      if (!canon.is_eq[r]) v = std::max(0.0, v);
-      y[r] = v;
-    }
-    warm = true;
+  for (std::size_t j = 0; j < cols; ++j) {
+    const double lo = canon.lower[j], up = canon.upper[j];
+    x[j] = std::isfinite(lo) ? lo : (std::isfinite(up) ? up : 0.0);
   }
 
   std::vector<double> sum_x(cols, 0.0), sum_y(rows, 0.0);
@@ -343,7 +323,6 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
     obs::counter_add("pdhg.iterations",
                      static_cast<double>(solution.iterations));
     obs::counter_add("pdhg.restarts", static_cast<double>(restarts));
-    if (warm) obs::counter_add("pdhg.warm_starts");
     obs::histogram_record("pdhg.solve_seconds", solution.solve_seconds);
   }
   log_debug("pdhg: ", to_string(solution.status), " obj=", solution.objective,

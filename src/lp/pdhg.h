@@ -8,6 +8,11 @@
 // *certified* lower bound through weak duality (see certified_dual_bound),
 // so even a truncated solve can never overstate a heuristic-class bound —
 // the property the paper's methodology depends on.
+//
+// Every solve starts cold, from the nearest finite bound of each variable
+// and zero duals. Seeding from a related model's iterates was measured a
+// wash (bench_results/scaling.csv), so the simplex basis is the only warm
+// start in the tree.
 #pragma once
 
 #include "lp/model.h"
@@ -35,18 +40,6 @@ struct PdhgOptions {
   /// Only parallelize when the matrix has at least this many nonzeros;
   /// below it the pool dispatch overhead outweighs the product.
   std::size_t parallel_nnz_threshold = 65'536;
-
-  /// Optional warm-start iterates in ORIGINAL model space (an LpSolution's
-  /// x / y from a related model of the same shape), borrowed for the solve.
-  /// They are mapped into the scaled canonical space, clamped/projected
-  /// onto their feasible boxes and used as the initial primal/dual point —
-  /// a near-optimal seed typically saves most of the run-in iterations.
-  /// Either may be null or size-mismatched (then the cold default is used
-  /// for that side). Warm starts never affect correctness: every bound the
-  /// solver reports remains a weak-duality certificate of the iterates it
-  /// actually visited.
-  const std::vector<double>* warm_x = nullptr;
-  const std::vector<double>* warm_y = nullptr;
 };
 
 /// Solve min c^T x. On return:

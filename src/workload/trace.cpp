@@ -84,11 +84,29 @@ Trace Trace::load(std::istream& in) {
   std::vector<Request> requests;
   Request req;
   char kind = 'r';
-  while (in >> req.time_s >> req.node >> req.object >> kind) {
-    if (kind != 'r' && kind != 'w') throw Error("bad request kind in trace");
+  // One request per line after the header, so the record being read sits
+  // on line requests.size() + 2. A failed extraction leaves the offending
+  // token in the stream; anything but a clean end of stream is an error,
+  // never a silently shortened trace.
+  const auto fail = [&](const std::string& why) {
+    throw Error("trace line " + std::to_string(requests.size() + 2) + ": " +
+                why);
+  };
+  const auto offending_token = [&] {
+    in.clear();
+    std::string token;
+    in >> token;
+    return "bad token '" + token + "'";
+  };
+  while (in >> req.time_s) {
+    if (!(in >> req.node >> req.object >> kind))
+      fail(in.eof() ? "truncated request" : offending_token());
+    if (kind != 'r' && kind != 'w')
+      fail(std::string("bad request kind '") + kind + "'");
     req.is_write = kind == 'w';
     requests.push_back(req);
   }
+  if (!in.eof()) fail(offending_token());
   return Trace(std::move(requests), duration, nodes, objects);
 }
 
@@ -102,7 +120,11 @@ void Trace::save_file(const std::string& path) const {
 Trace Trace::load_file(const std::string& path) {
   std::ifstream file(path);
   if (!file) throw Error("cannot open " + path);
-  return load(file);
+  try {
+    return load(file);
+  } catch (const Error& error) {
+    throw Error(path + ": " + error.what());
+  }
 }
 
 const char* event_kind(const Event& event) {

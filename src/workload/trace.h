@@ -55,6 +55,8 @@ class Trace {
 
   /// Plain text serialization: one "time node object r|w" line per request,
   /// preceded by a header line "wanplace-trace v1 <duration> <N> <K>".
+  /// load rejects a malformed or truncated request with an Error naming
+  /// the line and the offending token; load_file prefixes the path.
   void save(std::ostream& out) const;
   static Trace load(std::istream& in);
   void save_file(const std::string& path) const;

@@ -213,12 +213,11 @@ TEST(FuzzAdversarial, TargetedLpsShard3) {
 // seeded subset of its bounds and costs (tests/lp_fuzz.h
 // fuzz_warm_perturbed — the planner-phase-2 / per-class-re-solve shape),
 // then re-solve the perturbed model three ways: dual simplex warm-started
-// from the base basis, cold primal, and PDHG warm-started from the base
-// iterates. The warm dual result must match the cold primal to 1e-7 in
-// status and objective (the warm path must never change what the solver
-// reports, only how fast it gets there), and every PDHG certificate —
-// warm or cold — must stay a valid lower bound on the exact optimum to
-// the same 1e-7.
+// from the base basis, cold primal, and cold PDHG. The warm dual result
+// must match the cold primal to 1e-7 in status and objective (the warm
+// path must never change what the solver reports, only how fast it gets
+// there), and the PDHG certificate must stay a valid lower bound on the
+// exact optimum to the same 1e-7.
 void check_warm_pair(std::uint64_t base, std::uint64_t offset) {
   const auto fuzz = test::fuzz_lp(base + offset);
   const auto tag = case_tag("warm", base, offset, fuzz);
@@ -243,16 +242,7 @@ void check_warm_pair(std::uint64_t base, std::uint64_t offset) {
   pdhg.max_iterations = 60000;
   pdhg.tolerance = 1e-6;
   const auto pd_cold = solve_pdhg(perturbed.model, pdhg);
-  auto pdhg_warm = pdhg;
-  pdhg_warm.warm_x = &seed_sol.x;
-  pdhg_warm.warm_y = &seed_sol.y;
-  const auto pd_warm = solve_pdhg(perturbed.model, pdhg_warm);
   EXPECT_LE(pd_cold.dual_bound, cold.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(pd_warm.dual_bound, cold.objective + 1e-7 * scale) << tag;
-  if (!fuzz.has_free && pd_warm.status == SolveStatus::Optimal &&
-      perturbed.model.max_violation(pd_warm.x) <= 1e-5) {
-    EXPECT_NEAR(pd_warm.objective, cold.objective, 1e-2 * scale) << tag;
-  }
 }
 
 // 4 x WANPLACE_FUZZ_COUNT (default 60) = 240 perturbed-bound pairs.

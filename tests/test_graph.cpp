@@ -5,6 +5,7 @@
 #include <limits>
 
 #include <sstream>
+#include <string>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -281,6 +282,27 @@ TEST(TopologyIo, RejectsMalformedInput) {
   EXPECT_THROW(load_topology(bad_edge), Error);
   std::stringstream double_nodes("nodes 2\nnodes 3\n");
   EXPECT_THROW(load_topology(double_nodes), Error);
+}
+
+TEST(TopologyIo, RejectsBadEdgeBandwidth) {
+  for (const std::string edge :
+       {"edge 0 1 5 abc", "edge 0 1 5 10 extra", "edge 0 1 5 10x",
+        "edge 0 1 5 0", "edge 0 1 5 nan"}) {
+    std::stringstream in("nodes 2\n" + edge + "\n");
+    try {
+      load_topology(in);
+      ADD_FAILURE() << "accepted '" << edge << "'";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("topology line 2: bad edge bandwidth"),
+                std::string::npos)
+          << edge << " -> " << error.what();
+    }
+  }
+  std::stringstream good("nodes 2\nedge 0 1 5 10 # capped\n");
+  const auto topology = load_topology(good);
+  ASSERT_EQ(topology.neighbors(0).size(), 1u);
+  EXPECT_EQ(topology.neighbors(0)[0].bandwidth, 10);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -64,6 +66,46 @@ TEST(Trace, SaveLoadRoundTrip) {
 TEST(Trace, LoadRejectsGarbage) {
   std::stringstream buffer("not a trace at all");
   EXPECT_THROW(Trace::load(buffer), Error);
+}
+
+/// Load `text` as a trace and return the rejection message (failing the
+/// test if it parses).
+std::string load_trace_error(const std::string& text) {
+  std::stringstream buffer(text);
+  try {
+    Trace::load(buffer);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "trace parsed: " << text;
+  return "";
+}
+
+TEST(Trace, LoadRejectsBadTokenInsteadOfTruncating) {
+  // `nan` as the object on line 2 used to end the read there and silently
+  // drop every later request.
+  const auto message = load_trace_error(
+      "wanplace-trace v1 100 2 2\n"
+      "0 0 nan r\n"
+      "1 0 1 r\n"
+      "2 1 1 w\n");
+  EXPECT_NE(message.find("trace line 2: bad token 'nan'"), std::string::npos)
+      << message;
+}
+
+TEST(Trace, LoadNamesTheLineOfEveryMalformedRecord) {
+  const std::string header = "wanplace-trace v1 100 2 2\n0 0 0 r\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {"1 0 1 r\n2 x 1 w\n", "trace line 4: bad token 'x'"},
+      {"1 0 1 r\nabc 1 1 w\n", "trace line 4: bad token 'abc'"},
+      {"1 0 1 q\n", "trace line 3: bad request kind 'q'"},
+      {"1 0", "trace line 3: truncated request"},
+  };
+  for (const auto& [body, expected] : cases) {
+    const auto message = load_trace_error(header + body);
+    EXPECT_NE(message.find(expected), std::string::npos)
+        << body << " -> " << message;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@
 //   --report           print per-solve sensitivity reports with QoS-row
 //                      shadow prices ("class SC pays 0.42/unit of Tqos
 //                      slack")
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -94,15 +98,30 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  // Numeric flags parse the whole token: a typo such as "0.5x" or "abc"
+  // is an error naming the flag, never a silent prefix or a bare "stod".
   double get_double(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(value))
+      throw Error("--" + key + ": expected a number, got '" + text + "'");
+    return value;
   }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : static_cast<std::size_t>(
-                                     std::stoul(it->second));
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+      throw Error("--" + key + ": expected a non-negative integer, got '" +
+                  text + "'");
+    return static_cast<std::size_t>(value);
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
