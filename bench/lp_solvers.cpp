@@ -1,6 +1,5 @@
 // Micro-benchmark of the LP substrate: bounded-variable simplex under the
-// default Forrest-Tomlin basis with dynamic Devex pricing, vs the previous
-// default (product-form eta file + static partial Devex), vs the seed's
+// default Forrest-Tomlin basis with dynamic Devex pricing, vs the seed's
 // dense explicit inverse, vs restarted PDHG, on random feasible LPs of
 // growing size plus a real ~3900-row MC-PERF relaxation. Reports solve
 // time and iteration count per path and the certified-bound agreement.
@@ -350,7 +349,6 @@ void run_event_replay(::benchmark::State& state) {
 
 struct Paths {
   bool ft = true;     // Forrest-Tomlin + dynamic Devex (the default)
-  bool pf = true;     // product-form eta + static Devex (previous default)
   bool dense = true;  // the dense inverse is O(m^2)/pivot — cap its size
 };
 
@@ -360,13 +358,13 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
   // Timings and iteration counts are read back from the telemetry registry
   // (reset before each path) rather than the LpSolution fields, so these
   // columns agree with any trace of the same solve by construction.
-  double ft_s = 0, ft_obj = 0, pf_s = 0, dense_s = 0, pdhg_s = 0;
+  double ft_s = 0, ft_obj = 0, dense_s = 0, pdhg_s = 0;
   double ft_sparse_frac = 0, ft_compressions = 0;
-  std::size_t ft_it = 0, pf_it = 0, re_cold_it = 0, re_warm_it = 0;
+  std::size_t ft_it = 0, re_cold_it = 0, re_warm_it = 0;
   lp::LpSolution pdhg;
   for (auto _ : state) {
     if (paths.ft) {
-      lp::SimplexOptions options;  // defaults: ForrestTomlin + DevexDynamic
+      lp::SimplexOptions options;  // defaults: ForrestTomlin
       bench::reset_metrics();
       const auto exact = lp::solve_simplex(model, options);
       ft_s = bench::metric_sum("simplex.solve_seconds");
@@ -403,23 +401,9 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
       re_warm_it = static_cast<std::size_t>(
           bench::metric_sum("simplex.iterations"));
     }
-    if (paths.pf) {
-      // The previous default configuration, pinned explicitly.
-      lp::SimplexOptions options;
-      options.basis = lp::SimplexOptions::Basis::ProductForm;
-      options.pricing = lp::SimplexOptions::Pricing::PartialDevex;
-      options.refactor_period = 640;
-      options.eta_limit = 128;
-      bench::reset_metrics();
-      lp::solve_simplex(model, options);
-      pf_s = bench::metric_sum("simplex.solve_seconds");
-      pf_it = static_cast<std::size_t>(
-          bench::metric_sum("simplex.iterations"));
-    }
     if (paths.dense) {
       lp::SimplexOptions options;
       options.basis = lp::SimplexOptions::Basis::DenseInverse;
-      options.pricing = lp::SimplexOptions::Pricing::PartialDevex;
       bench::reset_metrics();
       lp::solve_simplex(model, options);
       dense_s = bench::metric_sum("simplex.solve_seconds");
@@ -450,8 +434,6 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
                            static_cast<std::size_t>(ft_compressions))
                      : std::string("-"))
       .cell(paths.ft ? format_number(ft_obj, 3) : std::string("-"))
-      .cell(paths.pf ? format_number(pf_s, 3) : std::string("-"))
-      .cell(paths.pf ? std::to_string(pf_it) : std::string("-"))
       .cell(paths.dense ? format_number(dense_s, 3) : std::string("-"))
       .cell(pdhg_s, 3)
       .cell(pdhg.dual_bound, 3)
@@ -463,7 +445,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
 
 void register_points() {
   bench::results({"vars", "rows", "ft-s", "ft-it", "ft-us/it", "sparse%",
-                  "rfc", "ft-obj", "pf-s", "pf-it", "dense-s", "pdhg-s",
+                  "rfc", "ft-obj", "dense-s", "pdhg-s",
                   "pdhg-bound", "rel-gap", "re-cold-it", "re-warm-it"});
   struct Size {
     std::size_t vars, rows;
@@ -471,14 +453,12 @@ void register_points() {
     std::size_t pdhg_iterations;
   };
   for (const Size size :
-       {Size{60, 40, {true, true, true}, 200'000},
-        Size{250, 180, {true, true, true}, 200'000},
-        Size{1000, 700, {true, true, true}, 200'000},
-        // Dense refactorizations are O(m^3) past this point, and the
-        // product-form path took ~10 minutes here in the previous round:
-        // FT + PDHG only.
-        Size{4000, 3000, {true, false, false}, 200'000},
-        Size{8000, 6000, {false, false, false}, 200'000}}) {
+       {Size{60, 40, {true, true}, 200'000},
+        Size{250, 180, {true, true}, 200'000},
+        Size{1000, 700, {true, true}, 200'000},
+        // Dense refactorizations are O(m^3) past this point: FT + PDHG only.
+        Size{4000, 3000, {true, false}, 200'000},
+        Size{8000, 6000, {false, false}, 200'000}}) {
     const std::string label = "lp/" + std::to_string(size.vars) + "x" +
                               std::to_string(size.rows);
     ::benchmark::RegisterBenchmark(
@@ -493,14 +473,14 @@ void register_points() {
   }
 
   // The acceptance point for the sparse bases: a >=3000-row MC-PERF LP
-  // (3914 rows) solved exactly by both simplex configurations,
+  // (3914 rows) solved exactly by the Forrest-Tomlin simplex,
   // cross-checked against PDHG. At tqos=0.9 PDHG converges fully and the
   // paths agree to <1e-6.
   ::benchmark::RegisterBenchmark(
       "lp/mcperf-8x8x60-q90",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.9);
-        run_point(state, model, {true, true, false}, 2'000'000, 1e-8);
+        run_point(state, model, {true, false}, 2'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);
@@ -522,7 +502,7 @@ void register_points() {
       "lp/mcperf-8x8x60-q99",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.99);
-        run_point(state, model, {true, true, false}, 1'000'000, 1e-8);
+        run_point(state, model, {true, false}, 1'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);

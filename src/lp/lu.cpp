@@ -51,14 +51,12 @@ inline void scatter_axpy(double* x, const BasisLu::Entry* e, std::size_t n,
 
 bool BasisLu::factorize(std::size_t m,
                         const std::vector<std::vector<Entry>>& columns,
-                        double pivot_threshold, UpdateMode mode) {
+                        double pivot_threshold, UpdateMode) {
   WANPLACE_REQUIRE(columns.size() == m, "basis column count mismatch");
   pivot_threshold = std::clamp(pivot_threshold, 1e-4, 1.0);
   m_ = m;
-  mode_ = mode;
   steps_.clear();
   steps_.reserve(m);
-  etas_.clear();
   retas_.clear();
   update_count_ = 0;
   r_nonzeros_ = 0;
@@ -242,7 +240,7 @@ bool BasisLu::factorize(std::size_t m,
     steps_.push_back(std::move(st));
   }
 
-  if (mode_ == UpdateMode::ForrestTomlin) build_ft_structure();
+  build_ft_structure();
   baseline_nonzeros_ = factor_nonzeros();
   if (obs::metrics_enabled()) {
     std::size_t input_nnz = 0;
@@ -297,7 +295,7 @@ void BasisLu::build_ft_structure() {
     step_row_[t] = st.pivot_row;
     l_pool_.insert(l_pool_.end(), st.l_entries.begin(), st.l_entries.end());
     l_off_[t + 1] = l_pool_.size();
-    // Every FT-mode read goes through the pool from here on; releasing
+    // Every L read goes through the pool from here on; releasing
     // the per-step vector halves the L footprint.
     st.l_entries = {};
     for (std::size_t i = l_off_[t]; i < l_off_[t + 1]; ++i)
@@ -311,150 +309,71 @@ void BasisLu::build_ft_structure() {
 
 void BasisLu::ftran(std::vector<double>& x) const {
   WANPLACE_REQUIRE(x.size() == m_, "ftran dimension mismatch");
-  if (mode_ == UpdateMode::ForrestTomlin) {
-    // Forward pass through L, streaming the pooled arena.
-    const std::size_t nsteps = steps_.size();
-    for (std::size_t t = 0; t < nsteps; ++t) {
-      const double z = x[step_row_[t]];
-      if (z == 0) continue;
-      scatter_axpy(x.data(), l_begin(t), l_len(t), z);
-    }
-    // R-file, oldest first: each row eta folds one retired U row into the
-    // rows it was eliminated against.
-    for (const RetaSpan& eta : retas_) {
-      double acc = 0;
-      for (std::uint32_t i = eta.begin; i < eta.end; ++i)
-        acc += reta_pool_[i].value * x[reta_pool_[i].index];
-      x[eta.row] -= acc;
-    }
-    // Stash the spike by swap — a subsequent update() replaces a column of
-    // U with exactly this partial result, the U pass below reads it in
-    // place, and x is rebuilt from scratch_ regardless.
-    spike_.swap(x);
-    spike_valid_ = true;
-    spike_pattern_valid_ = false;
-    // Back-substitution through U in reverse pivot order.
-    scratch_.assign(m_, 0.0);
-    for (std::size_t i = m_; i-- > 0;) {
-      const std::uint32_t s = pivot_order_[i];
-      double val = spike_[u_row_[s]];
-      for (const Entry& e : u_rows_[s]) val -= e.value * scratch_[e.index];
-      scratch_[u_pos_[s]] = val / u_pivot_[s];
-    }
-    x.swap(scratch_);
-    return;
-  }
-  // Forward pass through L.
-  for (const Step& st : steps_) {
-    const double z = x[st.pivot_row];
+  // Forward pass through L, streaming the pooled arena.
+  const std::size_t nsteps = steps_.size();
+  for (std::size_t t = 0; t < nsteps; ++t) {
+    const double z = x[step_row_[t]];
     if (z == 0) continue;
-    scatter_axpy(x.data(), st.l_entries.data(), st.l_entries.size(), z);
+    scatter_axpy(x.data(), l_begin(t), l_len(t), z);
   }
-  // Backward substitution through U into position space.
+  // R-file, oldest first: each row eta folds one retired U row into the
+  // rows it was eliminated against.
+  for (const RetaSpan& eta : retas_) {
+    double acc = 0;
+    for (std::uint32_t i = eta.begin; i < eta.end; ++i)
+      acc += reta_pool_[i].value * x[reta_pool_[i].index];
+    x[eta.row] -= acc;
+  }
+  // Stash the spike by swap — a subsequent update() replaces a column of
+  // U with exactly this partial result, the U pass below reads it in
+  // place, and x is rebuilt from scratch_ regardless.
+  spike_.swap(x);
+  spike_valid_ = true;
+  spike_pattern_valid_ = false;
+  // Back-substitution through U in reverse pivot order.
   scratch_.assign(m_, 0.0);
-  for (std::size_t t = steps_.size(); t-- > 0;) {
-    const Step& st = steps_[t];
-    double val = x[st.pivot_row];
-    for (const Entry& e : st.u_entries) val -= e.value * scratch_[e.index];
-    scratch_[st.pivot_col] = val / st.pivot;
+  for (std::size_t i = m_; i-- > 0;) {
+    const std::uint32_t s = pivot_order_[i];
+    double val = spike_[u_row_[s]];
+    for (const Entry& e : u_rows_[s]) val -= e.value * scratch_[e.index];
+    scratch_[u_pos_[s]] = val / u_pivot_[s];
   }
   x.swap(scratch_);
-  // Eta file, oldest first.
-  for (const Eta& eta : etas_) {
-    const double xp = x[eta.position] / eta.pivot;
-    x[eta.position] = xp;
-    if (xp == 0) continue;
-    scatter_axpy(x.data(), eta.entries.data(), eta.entries.size(), xp);
-  }
 }
 
 void BasisLu::btran(std::vector<double>& x) const {
   WANPLACE_REQUIRE(x.size() == m_, "btran dimension mismatch");
-  if (mode_ == UpdateMode::ForrestTomlin) {
-    // Forward substitution through U^T in pivot order (row-stored U
-    // applied by scatter), result mapped to constraint rows.
-    scratch_.assign(m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      const std::uint32_t s = pivot_order_[i];
-      const double vt = x[u_pos_[s]] / u_pivot_[s];
-      scratch_[u_row_[s]] = vt;
-      if (vt == 0) continue;
-      scatter_axpy(x.data(), u_rows_[s].data(), u_rows_[s].size(), vt);
-    }
-    // R-file transposed, newest first.
-    for (auto it = retas_.rbegin(); it != retas_.rend(); ++it) {
-      const double z = scratch_[it->row];
-      if (z == 0) continue;
-      scatter_axpy(scratch_.data(), reta_pool_.data() + it->begin,
-                   it->end - it->begin, z);
-    }
-    // L^T, reverse elimination order, streaming the pooled arena.
-    for (std::size_t t = steps_.size(); t-- > 0;) {
-      double acc = scratch_[step_row_[t]];
-      const Entry* le = l_begin(t);
-      const std::size_t ln = l_len(t);
-      for (std::size_t i = 0; i < ln; ++i)
-        acc -= le[i].value * scratch_[le[i].index];
-      scratch_[step_row_[t]] = acc;
-    }
-    x.swap(scratch_);
-    return;
-  }
-  // Eta file transposed, newest first.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = x[it->position];
-    for (const Entry& e : it->entries) acc -= e.value * x[e.index];
-    x[it->position] = acc / it->pivot;
-  }
-  // Forward substitution through U^T (row-stored U applied by scatter).
-  scratch_.resize(steps_.size());
-  for (std::size_t t = 0; t < steps_.size(); ++t) {
-    const Step& st = steps_[t];
-    const double vt = x[st.pivot_col] / st.pivot;
-    scratch_[t] = vt;
-    if (vt == 0) continue;
-    scatter_axpy(x.data(), st.u_entries.data(), st.u_entries.size(), vt);
-  }
-  // Map the permuted solution back to constraint rows and apply L^T.
-  scratch2_.assign(m_, 0.0);
-  for (std::size_t t = 0; t < steps_.size(); ++t)
-    scratch2_[steps_[t].pivot_row] = scratch_[t];
-  for (std::size_t t = steps_.size(); t-- > 0;) {
-    const Step& st = steps_[t];
-    double acc = scratch2_[st.pivot_row];
-    for (const Entry& e : st.l_entries) acc -= e.value * scratch2_[e.index];
-    scratch2_[st.pivot_row] = acc;
-  }
-  x.swap(scratch2_);
-}
-
-bool BasisLu::update(std::size_t position, const std::vector<double>& direction,
-                     double min_pivot) {
-  WANPLACE_REQUIRE(direction.size() == m_ && position < m_,
-                   "basis update dimension mismatch");
-  if (mode_ == UpdateMode::ForrestTomlin)
-    return update_forrest_tomlin(position, min_pivot);
-  return update_product_form(position, direction, min_pivot);
-}
-
-bool BasisLu::update_product_form(std::size_t position,
-                                  const std::vector<double>& direction,
-                                  double min_pivot) {
-  const double pivot = direction[position];
-  if (!(std::abs(pivot) > min_pivot)) return false;
-  Eta eta;
-  eta.position = static_cast<std::uint32_t>(position);
-  eta.pivot = pivot;
+  // Forward substitution through U^T in pivot order (row-stored U applied
+  // by scatter), result mapped to constraint rows.
+  scratch_.assign(m_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) {
-    if (i == position || direction[i] == 0) continue;
-    eta.entries.push_back({static_cast<std::uint32_t>(i), direction[i]});
+    const std::uint32_t s = pivot_order_[i];
+    const double vt = x[u_pos_[s]] / u_pivot_[s];
+    scratch_[u_row_[s]] = vt;
+    if (vt == 0) continue;
+    scatter_axpy(x.data(), u_rows_[s].data(), u_rows_[s].size(), vt);
   }
-  etas_.push_back(std::move(eta));
-  ++update_count_;
-  return true;
+  // R-file transposed, newest first.
+  for (auto it = retas_.rbegin(); it != retas_.rend(); ++it) {
+    const double z = scratch_[it->row];
+    if (z == 0) continue;
+    scatter_axpy(scratch_.data(), reta_pool_.data() + it->begin,
+                 it->end - it->begin, z);
+  }
+  // L^T, reverse elimination order, streaming the pooled arena.
+  for (std::size_t t = steps_.size(); t-- > 0;) {
+    double acc = scratch_[step_row_[t]];
+    const Entry* le = l_begin(t);
+    const std::size_t ln = l_len(t);
+    for (std::size_t i = 0; i < ln; ++i)
+      acc -= le[i].value * scratch_[le[i].index];
+    scratch_[step_row_[t]] = acc;
+  }
+  x.swap(scratch_);
 }
 
-bool BasisLu::update_forrest_tomlin(std::size_t position, double min_pivot) {
+bool BasisLu::update(std::size_t position, double min_pivot) {
+  WANPLACE_REQUIRE(position < m_, "basis update position out of range");
   WANPLACE_REQUIRE(spike_valid_,
                    "Forrest-Tomlin update needs the entering column's ftran "
                    "immediately before it");
@@ -623,7 +542,7 @@ bool BasisLu::ftran_sparse(std::vector<double>& x,
                            std::vector<std::uint32_t>& pattern,
                            double density_threshold) const {
   WANPLACE_REQUIRE(x.size() == m_, "ftran dimension mismatch");
-  if (mode_ != UpdateMode::ForrestTomlin || m_ == 0) {
+  if (m_ == 0) {
     ftran(x);
     return false;
   }
@@ -771,7 +690,7 @@ bool BasisLu::btran_sparse(std::vector<double>& x,
                            std::vector<std::uint32_t>& pattern,
                            double density_threshold) const {
   WANPLACE_REQUIRE(x.size() == m_, "btran dimension mismatch");
-  if (mode_ != UpdateMode::ForrestTomlin || m_ == 0) {
+  if (m_ == 0) {
     btran(x);
     return false;
   }
@@ -895,7 +814,7 @@ bool BasisLu::btran_sparse(std::vector<double>& x,
 }
 
 bool BasisLu::compress_rfile(double min_pivot) {
-  if (mode_ != UpdateMode::ForrestTomlin || retas_.empty()) return true;
+  if (retas_.empty()) return true;
   const std::size_t entry_cap = kCompressFillFactor * m_ + 64;
 
   // --- Stage 1: fold the R-file into U, newest eta first. With
@@ -1105,12 +1024,7 @@ bool BasisLu::compress_rfile(double min_pivot) {
 }
 
 std::size_t BasisLu::factor_nonzeros() const {
-  if (mode_ == UpdateMode::ForrestTomlin)
-    return l_nonzeros_ + u_nonzeros_ + m_;
-  std::size_t count = 0;
-  for (const Step& st : steps_)
-    count += 1 + st.l_entries.size() + st.u_entries.size();
-  return count;
+  return l_nonzeros_ + u_nonzeros_ + m_;
 }
 
 }  // namespace wanplace::lp

@@ -1,5 +1,5 @@
-// Sparse LU basis factorization with two pivot-update schemes: product-form
-// eta updates and Forrest–Tomlin updates of the U factor in place.
+// Sparse LU basis factorization with Forrest–Tomlin updates of the U factor
+// in place.
 //
 // The simplex basis matrix B (one column per basic variable) is factorized
 // as PBQ = LU by right-looking Gaussian elimination with Markowitz pivot
@@ -10,46 +10,35 @@
 // family where the dense explicit inverse was O(m^2) memory and O(m^3)
 // refactorization.
 //
-// Between refactorizations the basis changes one column per simplex pivot.
-// Two update schemes absorb the change:
+// Between refactorizations the basis changes one column per simplex pivot,
+// absorbed by a Forrest–Tomlin update: the incoming column's partial FTRAN
+// result ("spike", stashed by ftran() after the L and R passes) replaces a
+// column of U in place. Restoring triangularity takes one cyclic
+// permutation (tracked as a contiguous pivot-order array — the slots
+// themselves never move) plus the elimination of the leftover U row
+// against the later U rows it actually reaches; the elimination
+// multipliers are appended to a compact R-file of row etas. FTRAN solves
+// L, then R, then U; BTRAN the reverse. Updates touch only the affected
+// rows of U, so solve cost tracks the *current* factor sparsity instead of
+// the pivot history, and the refactorization period can stretch into the
+// thousands. When the eliminated diagonal comes out too small (absolutely,
+// or relative to the spike) the update refuses and leaves the
+// factorization unchanged — the caller must refactorize (the
+// stability/fill fallback).
 //
-//  - UpdateMode::ProductForm (the PR 2 scheme, kept as the differential
-//    reference): if column `p` of B is replaced by a column a with
-//    w = B^{-1} a, then B_new^{-1} = E^{-1} B_old^{-1} where E is the
-//    identity with column p replaced by w. FTRAN applies the eta file
-//    forward after the LU solve, BTRAN applies it transposed in reverse
-//    before the LU^T solve. Every FTRAN/BTRAN pays for the whole eta file,
-//    so long pivot sequences degrade linearly with the pivot count.
-//
-//  - UpdateMode::ForrestTomlin (the default in the simplex): the incoming
-//    column's partial FTRAN result ("spike", stashed by ftran() after the
-//    L and R passes) replaces a column of U in place. Restoring
-//    triangularity takes one cyclic permutation (tracked as a contiguous
-//    pivot-order array — the slots themselves never move) plus the
-//    elimination of the leftover U row against the later U rows it
-//    actually reaches; the elimination multipliers are appended to a
-//    compact R-file of row etas. FTRAN solves L, then R,
-//    then U; BTRAN the reverse. Updates touch only the affected rows of U,
-//    so solve cost tracks the *current* factor sparsity instead of the
-//    pivot history, and the refactorization period can stretch far past
-//    the eta file's practical limit. When the eliminated diagonal comes
-//    out too small (absolutely, or relative to the spike) the update
-//    refuses and leaves the factorization unchanged — the caller must
-//    refactorize (the stability/fill fallback).
-//
-// Hyper-sparse solves (ForrestTomlin mode): replica-placement LP columns
-// touch a handful of rows each, so most FTRAN/BTRAN right-hand sides are
-// far sparser than the basis dimension. ftran_sparse()/btran_sparse()
-// accept the RHS nonzero pattern, run a symbolic reachability pass over
-// the factor's dependency graph (L steps keyed by pivot row, U rows via
-// the per-position occupancy lists, the transposed structures for BTRAN)
-// to find a superset of the result nonzeros, then run the *same arithmetic
-// as the dense loops in the same order* over just those entries — nonzero
-// results are bit-identical to the dense scatter; only signs of exact
-// zeros can differ, and those never feed back into values or control flow.
-// Whenever the tracked pattern crosses the caller's density threshold the
-// remaining stages finish on the dense code path, so the crossover costs
-// nothing beyond the symbolic work already done.
+// Hyper-sparse solves: replica-placement LP columns touch a handful of rows
+// each, so most FTRAN/BTRAN right-hand sides are far sparser than the basis
+// dimension. ftran_sparse()/btran_sparse() accept the RHS nonzero pattern,
+// run a symbolic reachability pass over the factor's dependency graph (L
+// steps keyed by pivot row, U rows via the per-position occupancy lists, the
+// transposed structures for BTRAN) to find a superset of the result
+// nonzeros, then run the *same arithmetic as the dense loops in the same
+// order* over just those entries — nonzero results are bit-identical to the
+// dense scatter; only signs of exact zeros can differ, and those never feed
+// back into values or control flow. Whenever the tracked pattern crosses the
+// caller's density threshold the remaining stages finish on the dense code
+// path, so the crossover costs nothing beyond the symbolic work already
+// done.
 //
 // R-file compression: long Forrest–Tomlin runs accumulate row etas that
 // every FTRAN/BTRAN replays. compress_rfile() folds the whole R-file back
@@ -71,17 +60,17 @@ namespace wanplace::lp {
 class BasisLu {
  public:
   /// One nonzero of a basis column (row index, coefficient) — also reused
-  /// internally for L/U/eta entries with `index` meaning row or position.
+  /// internally for L/U/R entries with `index` meaning row or position.
   struct Entry {
     std::uint32_t index;
     double value;
   };
 
-  /// How update() absorbs basis changes; chosen at factorize() time.
-  enum class UpdateMode { ProductForm, ForrestTomlin };
+  /// How update() absorbs basis changes. Forrest–Tomlin is the only scheme.
+  enum class UpdateMode { ForrestTomlin };
 
   /// Factorize the m x m basis whose column p holds the nonzeros
-  /// columns[p] as (row, value) pairs. Discards any existing eta/R file.
+  /// columns[p] as (row, value) pairs. Discards any existing R-file.
   /// Returns false when the basis is structurally or numerically singular
   /// (no pivot above the absolute tolerance remains); the object is then
   /// unusable until the next successful factorize().
@@ -89,30 +78,33 @@ class BasisLu {
   /// `pivot_threshold` in (0, 1] is the Markowitz threshold: a pivot must
   /// reach that fraction of its column's largest active entry. Larger is
   /// more stable, smaller is sparser.
+  ///
+  /// The UpdateMode parameter is ignored. It is kept only because
+  /// perfbench/src/probes.cpp passes it, and perfbench/ may not change
+  /// outside a change to the benchmark.
   bool factorize(std::size_t m, const std::vector<std::vector<Entry>>& columns,
                  double pivot_threshold = 0.1,
-                 UpdateMode mode = UpdateMode::ProductForm);
+                 UpdateMode = UpdateMode::ForrestTomlin);
 
   /// Solve B w = a in place: on entry x is a (indexed by constraint row),
-  /// on exit x is w (indexed by basis position). In ForrestTomlin mode the
-  /// partial result after the L and R passes (the "spike") is stashed for
-  /// a subsequent update().
+  /// on exit x is w (indexed by basis position). The partial result after
+  /// the L and R passes (the "spike") is stashed for a subsequent update().
   void ftran(std::vector<double>& x) const;
 
   /// Solve B^T y = c in place: on entry x is c (indexed by basis
   /// position), on exit x is y (indexed by constraint row).
   void btran(std::vector<double>& x) const;
 
-  /// Hyper-sparse FTRAN (ForrestTomlin only; other modes and empty bases
-  /// delegate to the dense ftran()). On entry x must be zero outside
-  /// `pattern`, which lists its nonzero constraint rows (unique, any
-  /// order). Solves in place; when every stage ran sparse, returns true
-  /// and rewrites `pattern` to a superset of the result's nonzero basis
-  /// positions. Returns false when the tracked pattern crossed
-  /// `density_threshold` (as a fraction of the dimension) and the solve
-  /// finished on the dense path — x is then the full dense result and
-  /// `pattern` is meaningless. Either way the result's nonzero values are
-  /// bit-identical to ftran()'s and the spike is stashed for update().
+  /// Hyper-sparse FTRAN (empty bases delegate to the dense ftran()). On
+  /// entry x must be zero outside `pattern`, which lists its nonzero
+  /// constraint rows (unique, any order). Solves in place; when every stage
+  /// ran sparse, returns true and rewrites `pattern` to a superset of the
+  /// result's nonzero basis positions. Returns false when the tracked
+  /// pattern crossed `density_threshold` (as a fraction of the dimension)
+  /// and the solve finished on the dense path — x is then the full dense
+  /// result and `pattern` is meaningless. Either way the result's nonzero
+  /// values are bit-identical to ftran()'s and the spike is stashed for
+  /// update().
   bool ftran_sparse(std::vector<double>& x,
                     std::vector<std::uint32_t>& pattern,
                     double density_threshold) const;
@@ -132,59 +124,44 @@ class BasisLu {
   /// All work is staged: returns false, leaving the factorization
   /// unchanged, when a re-triangularized diagonal fails the absolute
   /// (min_pivot) or relative stability guard, or the fold fills in
-  /// pathologically; the caller should refactorize then. ForrestTomlin
-  /// only; a no-op success in other modes or with an empty R-file.
+  /// pathologically; the caller should refactorize then. A no-op success
+  /// with an empty R-file.
   bool compress_rfile(double min_pivot);
 
-  /// Absorb a basis change: the column at `position` was replaced by a
-  /// column a with direction w = B^{-1} a (an ftran() result, indexed by
-  /// position). Returns false — leaving the factorization unchanged — when
-  /// the replacement pivot is numerically unacceptable, in which case the
-  /// caller must refactorize instead.
-  ///
-  /// ProductForm: appends one eta; fails when |w[position]| <= min_pivot.
-  /// ForrestTomlin: consumes the spike stashed by the most recent ftran()
-  /// (which therefore must have been the FTRAN of the incoming column a);
-  /// fails when the eliminated U diagonal is <= min_pivot or vanishes
-  /// relative to the spike's largest entry (the stability guard).
-  bool update(std::size_t position, const std::vector<double>& direction,
-              double min_pivot);
+  /// Absorb a basis change: the column at `position` was replaced by the
+  /// column a whose ftran() (or ftran_sparse()) ran last — the update
+  /// consumes the spike that solve stashed. Returns false, leaving the
+  /// factorization unchanged, when the eliminated U diagonal is
+  /// <= min_pivot or vanishes relative to the spike's largest entry (the
+  /// stability guard); the caller must refactorize instead.
+  bool update(std::size_t position, double min_pivot);
 
   std::size_t dimension() const { return m_; }
-  UpdateMode update_mode() const { return mode_; }
-  /// Product-form etas held (always 0 in ForrestTomlin mode).
-  std::size_t eta_count() const { return etas_.size(); }
-  /// Basis changes absorbed since the last factorize(), either scheme.
+  /// Basis changes absorbed since the last factorize().
   std::size_t update_count() const { return update_count_; }
   /// Nonzeros currently stored in L and U (fill-in diagnostics; excludes
-  /// eta/R files). Forrest–Tomlin updates change this in place.
+  /// the R-file). Forrest–Tomlin updates change this in place.
   std::size_t factor_nonzeros() const;
   /// Nonzeros of L and U immediately after the last factorize() — the
   /// reference point for fill-growth refactorization triggers.
   std::size_t baseline_nonzeros() const { return baseline_nonzeros_; }
-  /// Total entries across the Forrest–Tomlin R-file (0 in ProductForm).
+  /// Total entries across the Forrest–Tomlin R-file.
   std::size_t r_nonzeros() const { return r_nonzeros_; }
   /// Row etas currently in the Forrest–Tomlin R-file.
-  std::size_t reta_count() const { return retas_.size(); }
+  std::size_t rfile_etas() const { return retas_.size(); }
 
  private:
   /// One elimination step: pivot at (pivot_row, pivot_col), below-pivot
   /// multipliers in l_entries (constraint-row indexed), the remainder of
   /// the pivot row in u_entries (basis-position indexed, pivot excluded).
-  /// In ForrestTomlin mode u_entries are moved into the mutable U store
-  /// and only the L part remains here.
+  /// build_ft_structure() moves u_entries into the mutable U store and
+  /// l_entries into the pooled L arena.
   struct Step {
     std::uint32_t pivot_row = 0;
     std::uint32_t pivot_col = 0;
     double pivot = 0;
     std::vector<Entry> l_entries;
     std::vector<Entry> u_entries;
-  };
-  /// Product-form eta: column `position` of the replaced-identity matrix.
-  struct Eta {
-    std::uint32_t position = 0;
-    double pivot = 0;
-    std::vector<Entry> entries;  // (position, w value), pivot excluded
   };
   /// Forrest–Tomlin row eta: one combined row operation
   /// x[row] -= sum_j entries[j].value * x[entries[j].index], all indices in
@@ -209,18 +186,12 @@ class BasisLu {
   void build_ft_structure();
   const Entry* l_begin(std::size_t t) const { return l_pool_.data() + l_off_[t]; }
   std::size_t l_len(std::size_t t) const { return l_off_[t + 1] - l_off_[t]; }
-  bool update_product_form(std::size_t position,
-                           const std::vector<double>& direction,
-                           double min_pivot);
-  bool update_forrest_tomlin(std::size_t position, double min_pivot);
   void ensure_sparse_scratch() const;
   void stash_spike_sparse(const std::vector<double>& x,
                           const std::vector<std::uint32_t>& pattern) const;
 
   std::size_t m_ = 0;
-  UpdateMode mode_ = UpdateMode::ProductForm;
   std::vector<Step> steps_;
-  std::vector<Eta> etas_;
   std::size_t update_count_ = 0;
   std::size_t baseline_nonzeros_ = 0;
 
@@ -246,7 +217,7 @@ class BasisLu {
   std::vector<RetaSpan> retas_;              // the R-file, oldest first
   std::vector<Entry> reta_pool_;             // R-file entries, contiguous
   /// L multipliers pooled into one arena in elimination-step order
-  /// (FT mode; immutable between refactorizations — updates touch only U
+  /// (immutable between refactorizations — updates touch only U
   /// and the R-file). l_off_[t] .. l_off_[t+1] is step t's slice and
   /// step_row_[t] its pivot row, so every L pass streams the arena instead
   /// of dereferencing per-step heap vectors.
@@ -257,7 +228,7 @@ class BasisLu {
   std::size_t l_nonzeros_ = 0;
   std::size_t r_nonzeros_ = 0;
 
-  // --- Hyper-sparse solve machinery (ForrestTomlin mode). Sparse passes
+  // --- Hyper-sparse solve machinery. Sparse passes
   // (and the update's sparse dry run) need to order small active sets by
   // pivot order without scanning it, so every slot carries a strictly
   // increasing order key (reassigned when an update moves a slot to the
@@ -280,7 +251,6 @@ class BasisLu {
   mutable std::vector<double> result_;
 
   mutable std::vector<double> scratch_;
-  mutable std::vector<double> scratch2_;
   mutable std::vector<double> spike_;        // post-L,R partial FTRAN
   mutable bool spike_valid_ = false;
   /// When valid, spike_ is zero outside spike_pattern_ and update() can

@@ -8,19 +8,16 @@
 // current across pivots by Forrest–Tomlin updates of the U factor in place,
 // so per-iteration cost tracks the *current* basis sparsity rather than the
 // pivot history, and the refactorization period stretches into the
-// thousands. The PR 2 product-form eta file (Basis::ProductForm) and the
-// seed's dense explicit inverse (Basis::DenseInverse) stay selectable for
-// differential testing.
+// thousands. The seed's dense explicit inverse (Basis::DenseInverse) stays
+// selectable as the differential and golden reference.
 //
 // Hot path: reduced costs, duals and the phase objective are maintained
-// incrementally across pivots (refreshed at every refactorization), and the
-// default pricing rule is dynamic Devex — reference weights updated from
-// the pivot row each iteration, with the reference framework reset when
-// the weights drift too far. Before declaring optimality after incremental
-// updates, the solver refactorizes and re-prices from scratch, so
-// termination is always certified against freshly computed duals. The
-// PR 1 static-weight partial pricing (Pricing::PartialDevex) and the
-// seed's full Dantzig scan (Pricing::DantzigFull) are kept selectable.
+// incrementally across pivots (refreshed at every refactorization), and
+// pricing is dynamic Devex — reference weights updated from the pivot row
+// each iteration, with the reference framework reset when the weights
+// drift too far. Before declaring optimality after incremental updates,
+// the solver refactorizes and re-prices from scratch, so termination is
+// always certified against freshly computed duals.
 //
 // Method::Dual runs the dual simplex instead: starting from a dual-feasible
 // basis (a supplied BasisSnapshot, repaired by flipping boxed nonbasics
@@ -67,38 +64,22 @@ struct SimplexOptions {
   std::size_t max_iterations = 0;  // 0 = automatic (scales with model size)
   double tolerance = 1e-7;
   /// Refactorize the basis every this many pivots; 0 = automatic (640 for
-  /// the product-form/dense paths whose update files degrade linearly with
-  /// the pivot count, 4096 for Forrest–Tomlin whose solves track current
-  /// factor sparsity — there the fill guard below usually fires first).
-  /// Incremental updates plus the refresh-before-optimal check keep long
-  /// periods safe.
+  /// the dense inverse, whose row updates cost O(m^2) and accumulate
+  /// roundoff with every pivot; 4096 for Forrest–Tomlin, whose solves track
+  /// current factor sparsity — there the fill guard below usually fires
+  /// first). Incremental updates plus the refresh-before-optimal check keep
+  /// long periods safe.
   std::size_t refactor_period = 0;
   /// Switch to Bland's rule after this many non-improving iterations.
   std::size_t stall_limit = 512;
 
-  enum class Pricing {
-    /// Dynamic Devex (default): reference weights updated from the pivot
-    /// row each basis change, reduced costs maintained incrementally, so
-    /// pricing is a cached-score scan with no matrix work. The reference
-    /// framework resets (all weights to 1) when the largest weight exceeds
-    /// devex_reset_threshold.
-    DevexDynamic,
-    /// Rotating partial-pricing window, candidates scored d^2 / gamma_j
-    /// with static reference weights gamma_j = 1 + ||A_j||^2 — the PR 1
-    /// path, kept for differential testing.
-    PartialDevex,
-    /// Full Dantzig scan (most-negative reduced cost) with duals fully
-    /// recomputed every iteration — the original reference path.
-    DantzigFull,
-  };
-  Pricing pricing = Pricing::DevexDynamic;
-  /// Columns scanned per partial-pricing round; 0 = automatic
-  /// (max(128, columns/8)). PartialDevex only.
-  std::size_t pricing_window = 0;
-  /// DevexDynamic only: reset the reference framework when the largest
-  /// weight exceeds this (weights grow monotonically between resets; very
-  /// large weights mean the reference frame no longer resembles the
-  /// current basis and the steepest-edge approximation has degraded).
+  /// Dynamic Devex pricing: reference weights are updated from the pivot
+  /// row each basis change and reduced costs maintained incrementally, so
+  /// pricing is a cached-score scan with no matrix work. Reset the
+  /// reference framework (all weights to 1) when the largest weight
+  /// exceeds this (weights grow monotonically between resets; very large
+  /// weights mean the reference frame no longer resembles the current
+  /// basis and the steepest-edge approximation has degraded).
   double devex_reset_threshold = 1e7;
 
   enum class Basis {
@@ -106,31 +87,24 @@ struct SimplexOptions {
     /// R-file of row etas (lp/lu.h): FTRAN/BTRAN cost follows the current
     /// factor sparsity, not the pivot count.
     ForrestTomlin,
-    /// Sparse LU plus product-form eta updates — the PR 2 path, kept for
-    /// differential testing; every solve traverses the whole eta file.
-    ProductForm,
-    /// Dense explicit inverse with O(m^2) product-form row updates — the
-    /// seed path, bit-identical to the original numerics; kept for
-    /// differential testing and as a fallback.
+    /// Dense explicit inverse with O(m^2) row updates per pivot — the
+    /// seed path, kept as the differential and golden reference. Nothing
+    /// falls back to it.
     DenseInverse,
   };
   Basis basis = Basis::ForrestTomlin;
-  /// ProductForm only: refactorize when the eta file reaches this many
-  /// etas. Each eta makes every subsequent FTRAN/BTRAN a little more
-  /// expensive and a little less accurate; ~100 is the classic sweet spot.
-  std::size_t eta_limit = 128;
   /// ForrestTomlin only: refactorize when the factor + R-file nonzeros
   /// exceed this multiple of the post-factorization nonzeros (fill-in
   /// guard; updates add spike and elimination fill that a fresh
   /// factorization re-compresses).
   double ft_fill_factor = 3.0;
-  /// LU bases: a ratio-test pivot smaller than this while updates have
-  /// been applied is treated as possible numerical drift — the basis is
-  /// refactorized and the iteration retried on fresh numbers before the
-  /// pivot is trusted.
+  /// ForrestTomlin only: a ratio-test pivot smaller than this while
+  /// updates have been applied is treated as possible numerical drift —
+  /// the basis is refactorized and the iteration retried on fresh numbers
+  /// before the pivot is trusted.
   double lu_stability_tolerance = 1e-7;
-  /// LU bases: Markowitz threshold-pivoting factor in (0, 1]; a pivot
-  /// must reach this fraction of its column's largest active entry.
+  /// ForrestTomlin only: Markowitz threshold-pivoting factor in (0, 1]; a
+  /// pivot must reach this fraction of its column's largest active entry.
   double lu_pivot_threshold = 0.1;
 
   /// ForrestTomlin only: RHS-density cutoff for the hyper-sparse

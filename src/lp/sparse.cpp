@@ -43,14 +43,6 @@ ColumnMajorMatrix::ColumnMajorMatrix(std::size_t rows, std::size_t cols,
   col_start_[cols] = values_.size();
 }
 
-double ColumnMajorMatrix::col_norm_squared(std::size_t j) const {
-  WANPLACE_REQUIRE(j < cols_, "column out of range");
-  double sum = 0;
-  for (std::size_t i = col_start_[j]; i < col_start_[j + 1]; ++i)
-    sum += values_[i] * values_[i];
-  return sum;
-}
-
 SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
                            std::vector<Triplet> triplets)
     : rows_(rows), cols_(cols) {

@@ -52,9 +52,6 @@ class ColumnMajorMatrix {
       fn(row_index_[i], values_[i]);
   }
 
-  /// Squared Euclidean norm of column j.
-  double col_norm_squared(std::size_t j) const;
-
   /// Dot product of column j with a dense row-indexed vector — the hot
   /// kernel of the simplex pricing pass (alpha~_j = rho~ . A_j for every
   /// nonbasic column, every pivot), kept loop-only so it inlines tightly.

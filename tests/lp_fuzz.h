@@ -8,7 +8,7 @@
 // unbounded instances so status agreement is exercised on all three
 // outcomes. Degenerate instances (many rows tight at the construction
 // point) are generated on purpose: they are where basis-management bugs
-// (cycling, stale eta files, drift) actually live.
+// (cycling, stale update files, drift) actually live.
 //
 // The base seed is WANPLACE_FUZZ_SEED when set (export it to replay a CI
 // failure locally), else a fixed default so the suite is reproducible.
@@ -317,7 +317,7 @@ inline FuzzLp fuzz_near_singular(Rng& rng) {
 // costs. These routinely take far more pivots than the small classic
 // instances; the differential harness additionally replays them with a
 // tiny refactor period so pivot sequences run well past 2x the period
-// and the update machinery (eta file / FT R-file) is the long pole.
+// and the update machinery (the FT R-file) is the long pole.
 inline FuzzLp fuzz_long_pivot(Rng& rng) {
   FuzzLp out;
   out.profile = FuzzProfile::LongPivot;

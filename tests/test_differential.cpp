@@ -1,20 +1,18 @@
 // Randomized differential LP harness.
 //
-// Four independently implemented solve paths — simplex over the
-// Forrest-Tomlin basis with dynamic Devex pricing (the default), simplex
-// over the product-form eta file with static partial Devex (the previous
-// default), simplex over the dense explicit inverse (the seed path,
-// bit-identical numerics), and PDHG — are run over a seeded stream of
-// random LPs (tests/lp_fuzz.h) and over real MC-PERF relaxations, and must
-// agree on status and objective to 1e-7. The simplex paths share neither
-// basis algebra nor pricing, so any FT elimination / R-file / eta / Devex
-// weight defect shows up as a status or objective split here long before it
-// corrupts a paper experiment.
+// Three independently implemented solve paths — simplex over the
+// Forrest-Tomlin basis (the default), simplex over the dense explicit
+// inverse (the seed basis algebra), and PDHG — are run over a seeded stream
+// of random LPs (tests/lp_fuzz.h) and over real MC-PERF relaxations, and
+// must agree on status and objective to 1e-7. The two simplex paths share
+// no basis algebra, so any FT elimination / R-file / sparse-kernel defect
+// shows up as a status or objective split here long before it corrupts a
+// paper experiment.
 //
 // The stream is three-tiered: classic shards (randomized shape/bounds/row
 // mix), adversarial shards (pricing ties, near-singular column pairs, long
 // pivot sequences — see fuzz_adversarial_lp), and a stress shard that
-// replays instances with a tiny refactor period and eta limit so pivot
+// replays instances with a tiny refactor period and fill factor so pivot
 // sequences run well past 2x the refactor period on every path.
 //
 // Re-run a failing case locally with WANPLACE_FUZZ_SEED=<base> (the base
@@ -42,31 +40,20 @@ namespace {
 SimplexOptions ft_options() {
   SimplexOptions options;
   options.basis = SimplexOptions::Basis::ForrestTomlin;
-  options.pricing = SimplexOptions::Pricing::DevexDynamic;
-  return options;
-}
-
-SimplexOptions pf_options() {
-  SimplexOptions options;
-  options.basis = SimplexOptions::Basis::ProductForm;
-  options.pricing = SimplexOptions::Pricing::PartialDevex;
   return options;
 }
 
 SimplexOptions dense_options() {
   SimplexOptions options;
   options.basis = SimplexOptions::Basis::DenseInverse;
-  options.pricing = SimplexOptions::Pricing::PartialDevex;
   return options;
 }
 
 /// Stress variant: force the update machinery to be the long pole. Every
 /// pivot sequence longer than ~8 iterations runs past 2x the refactor
-/// period, the product-form path additionally trips its eta limit, and the
-/// FT path trips its fill guard almost immediately.
+/// period, and the FT path trips its fill guard almost immediately.
 SimplexOptions stressed(SimplexOptions options) {
   options.refactor_period = 4;
-  options.eta_limit = 8;
   options.ft_fill_factor = 1.05;
   return options;
 }
@@ -77,21 +64,17 @@ SimplexOptions stressed(SimplexOptions options) {
 void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
                     SimplexOptions (*tweak)(SimplexOptions) = nullptr) {
   auto ft_opts = ft_options();
-  auto pf_opts = pf_options();
   auto dense_opts = dense_options();
   if (tweak) {
     ft_opts = tweak(ft_opts);
-    pf_opts = tweak(pf_opts);
     dense_opts = tweak(dense_opts);
   }
 
   const auto ft = solve_simplex(fuzz.model, ft_opts);
-  const auto pf = solve_simplex(fuzz.model, pf_opts);
   const auto dense = solve_simplex(fuzz.model, dense_opts);
 
-  // All basis representations must agree on status, always.
+  // Both basis representations must agree on status, always.
   ASSERT_EQ(ft.status, dense.status) << tag;
-  ASSERT_EQ(pf.status, dense.status) << tag;
 
   switch (fuzz.kind) {
     case test::FuzzKind::Infeasible:
@@ -111,15 +94,12 @@ void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
 
   const double scale = 1 + std::abs(dense.objective);
   EXPECT_NEAR(ft.objective, dense.objective, 1e-7 * scale) << tag;
-  EXPECT_NEAR(pf.objective, dense.objective, 1e-7 * scale) << tag;
   // Certificates may differ in tightness between the paths (clamping a
   // free-variable dual can push any of them to -inf), but each must be a
   // valid lower bound on the common optimum.
   EXPECT_LE(ft.dual_bound, dense.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(pf.dual_bound, dense.objective + 1e-7 * scale) << tag;
   EXPECT_LE(dense.dual_bound, dense.objective + 1e-7 * scale) << tag;
   EXPECT_LE(fuzz.model.max_violation(ft.x), 1e-6) << tag;
-  EXPECT_LE(fuzz.model.max_violation(pf.x), 1e-6) << tag;
   EXPECT_LE(fuzz.model.max_violation(dense.x), 1e-6) << tag;
 
   // PDHG: its certificate must never overstate the simplex optimum; when
@@ -271,10 +251,10 @@ TEST(FuzzWarm, PerturbedBoundPairsShard3) {
 }
 
 // Stress shard: replay a seeded mix of classic and adversarial instances
-// with refactor_period=4 / eta_limit=8 / ft_fill_factor=1.05 on every
-// path. The long-pivot profiles routinely take 30+ pivots here, i.e. far
-// past 2x the refactor period, so eta replay, FT spike elimination, the
-// fill guard and the fallback-to-refactorize path all fire constantly.
+// with refactor_period=4 / ft_fill_factor=1.05 on every path. The
+// long-pivot profiles routinely take 30+ pivots here, i.e. far past 2x the
+// refactor period, so FT spike elimination, R-file replay, the fill guard
+// and the fallback-to-refactorize path all fire constantly.
 TEST(FuzzStress, TinyRefactorPeriodAcrossBases) {
   const std::uint64_t base = test::fuzz_base_seed();
   const std::uint64_t n = test::fuzz_shard_count();
@@ -302,10 +282,8 @@ void check_mcperf(const mcperf::Instance& instance,
   const auto built = mcperf::build_lp(instance, spec);
 
   const auto ft = solve_simplex(built.model, ft_options());
-  const auto pf = solve_simplex(built.model, pf_options());
   const auto dense = solve_simplex(built.model, dense_options());
   ASSERT_EQ(ft.status, dense.status) << tag;
-  ASSERT_EQ(pf.status, dense.status) << tag;
   // Some class/instance pairs are legitimately infeasible (e.g. reactive
   // creation against cold-start demand); all paths agreeing on that via
   // phase 1 is still a differential check.
@@ -313,9 +291,7 @@ void check_mcperf(const mcperf::Instance& instance,
 
   const double scale = 1 + std::abs(dense.objective);
   EXPECT_NEAR(ft.objective, dense.objective, 1e-7 * scale) << tag;
-  EXPECT_NEAR(pf.objective, dense.objective, 1e-7 * scale) << tag;
   EXPECT_LE(built.model.max_violation(ft.x), 1e-6) << tag;
-  EXPECT_LE(built.model.max_violation(pf.x), 1e-6) << tag;
 
   PdhgOptions pdhg;
   pdhg.max_iterations = 150000;
@@ -349,7 +325,6 @@ TEST(McPerfDifferential, RandomInstanceAcrossClasses) {
 TEST(McPerfDifferential, EngineBoundInvariantToBasis) {
   const auto instance = test::random_instance(7);
   const SimplexOptions::Basis bases[] = {SimplexOptions::Basis::ForrestTomlin,
-                                         SimplexOptions::Basis::ProductForm,
                                          SimplexOptions::Basis::DenseInverse};
   bounds::BoundOptions reference_opts;
   reference_opts.solver = bounds::BoundOptions::Solver::Simplex;

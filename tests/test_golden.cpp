@@ -3,15 +3,13 @@
 // A small fixed MC-PERF fixture (4-node line, 3 intervals, 3 objects) is
 // solved for a representative slice of heuristic classes and the certified
 // lower bounds are compared against frozen values:
-//   - with Basis::DenseInverse and the seed's static PartialDevex pricing
-//     the entire pipeline is deterministic integer and double arithmetic
-//     with a fixed operation order, so the bound must reproduce BIT FOR
-//     BIT — any change is a semantic change to the seed numerics and must
-//     be deliberate;
-//   - with the sparse bases (ProductForm eta file, and the default
-//     ForrestTomlin with dynamic Devex pricing) the pivot order differs,
-//     so the bound must agree to 1e-7 relative — those paths are "same
-//     answer, different arithmetic";
+//   - with Basis::DenseInverse the entire pipeline is deterministic
+//     integer and double arithmetic with a fixed operation order, so the
+//     bound must reproduce BIT FOR BIT — any change is a semantic change to
+//     the numerics and must be deliberate;
+//   - with the default ForrestTomlin basis the basis algebra differs, so
+//     the bound must agree to 1e-7 relative — that path is "same answer,
+//     different arithmetic";
 //   - the dynamic-Devex iteration counts themselves are pinned (kDevex
 //     below, plus Beale): pricing is deterministic, so a changed count
 //     means the pricing rule changed and the fixture must be deliberately
@@ -64,13 +62,13 @@ struct GoldenCase {
 // Frozen values for golden_instance(), DenseInverse basis,
 // Solver::Simplex. Printed with %.17g so they round-trip exactly.
 constexpr GoldenCase kGolden[] = {
-    {"general", 9.680909090909088, 1},
-    {"storage_constrained", 11.727142857142846, 1},
-    {"replica_constrained", 10.349999999999994, 1},
+    {"general", 9.6809090909090898, 1},
+    {"storage_constrained", 11.727142857142857, 1},
+    {"replica_constrained", 10.349999999999996, 1},
     {"replica_constrained_per_object", 9.6809090909090898, 1},
     {"caching", 36.824999999999989, 0.63636363636363635},
-    {"cooperative_caching", 19.000000000000004, 0.63636363636363635},
-    {"neighborhood_caching", 19.000000000000004, 0.63636363636363635},
+    {"cooperative_caching", 18.999999999999993, 0.63636363636363635},
+    {"neighborhood_caching", 18.999999999999993, 0.63636363636363635},
     {"reactive", 12.5, 0.63636363636363635},
 };
 
@@ -93,19 +91,11 @@ bounds::BoundOptions golden_options(lp::SimplexOptions::Basis basis) {
   bounds::BoundOptions options;
   options.solver = bounds::BoundOptions::Solver::Simplex;
   options.simplex.basis = basis;
-  // The kGolden table was frozen under the seed's static pricing rule; pin
-  // it explicitly so the DenseInverse fixtures stay bit-for-bit even though
-  // the solver default moved to DevexDynamic.
-  options.simplex.pricing = lp::SimplexOptions::Pricing::PartialDevex;
   return options;
 }
 
 bounds::BoundOptions devex_options() {
-  bounds::BoundOptions options;
-  options.solver = bounds::BoundOptions::Solver::Simplex;
-  options.simplex.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  options.simplex.pricing = lp::SimplexOptions::Pricing::DevexDynamic;
-  return options;
+  return golden_options(lp::SimplexOptions::Basis::ForrestTomlin);
 }
 
 TEST(Golden, DenseInverseBoundsBitForBit) {
@@ -127,21 +117,6 @@ TEST(Golden, DenseInverseBoundsBitForBit) {
   }
 }
 
-TEST(Golden, ProductFormBoundsMatchTo1e7) {
-  const auto instance = golden_instance();
-  if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) GTEST_SKIP();
-  for (const auto& g : kGolden) {
-    const auto bound = bounds::compute_bound(
-        instance, spec_by_name(g.name),
-        golden_options(lp::SimplexOptions::Basis::ProductForm));
-    ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
-    EXPECT_NEAR(bound.lower_bound, g.lower_bound,
-                1e-7 * (1 + std::abs(g.lower_bound)))
-        << g.name;
-    EXPECT_EQ(bound.max_achievable_qos, g.max_achievable_qos) << g.name;
-  }
-}
-
 TEST(Golden, ForrestTomlinDynamicDevexBoundsMatchTo1e7) {
   const auto instance = golden_instance();
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) GTEST_SKIP();
@@ -158,7 +133,7 @@ TEST(Golden, ForrestTomlinDynamicDevexBoundsMatchTo1e7) {
 
 // ---------------------------------------------------------------------------
 // Dynamic-Devex behavioral fixtures: the pricing rule is deterministic, so
-// the phase-1+phase-2 iteration count under ForrestTomlin + DevexDynamic is
+// the phase-1+phase-2 iteration count under ForrestTomlin is
 // a frozen property of the implementation. A drifting count means the
 // pricing (or basis-management) semantics changed — deliberate changes
 // regenerate the table via WANPLACE_PRINT_GOLDEN=1.
@@ -212,7 +187,6 @@ TEST(Golden, DynamicDevexBealePinned) {
 
   lp::SimplexOptions options;
   options.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  options.pricing = lp::SimplexOptions::Pricing::DevexDynamic;
   const auto sol = lp::solve_simplex(model, options);
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) {
     std::printf("    beale: iterations=%zu objective=%.17g\n", sol.iterations,
@@ -290,7 +264,6 @@ TEST(Golden, DualSimplexBealePinned) {
 
   lp::SimplexOptions options;
   options.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  options.pricing = lp::SimplexOptions::Pricing::DevexDynamic;
   options.method = lp::SimplexOptions::Method::Dual;
   const auto sol = lp::solve_simplex(model, options);
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) {
@@ -306,7 +279,7 @@ TEST(Golden, DualSimplexBealePinned) {
 // ---------------------------------------------------------------------------
 // Tree-family fixtures: six fixed tree instances pinning the exact DP
 // optimum (deterministic integer/double arithmetic — bit-for-bit), the
-// DenseInverse LP lower bound (bit-for-bit) and the DevexDynamic simplex
+// DenseInverse LP lower bound (bit-for-bit) and the default simplex
 // iteration count. The capped-closest fixture additionally certifies the
 // acceptance property that binding bandwidth rows make the true optimum
 // STRICTLY tighter than the unconstrained bound. Regenerate deliberately
@@ -406,14 +379,14 @@ struct GoldenTreeCase {
   const char* name;        // fixture label (index order in golden_tree)
   double dp_optimum;       // frozen exact DP optimum (bit-for-bit)
   double lower_bound;      // frozen DenseInverse LP bound (bit-for-bit)
-  std::size_t iterations;  // frozen DevexDynamic simplex iteration count
+  std::size_t iterations;  // frozen default simplex iteration count
 };
 
 constexpr GoldenTreeCase kGoldenTree[] = {
     {"star-global", 19.5, 19.5, 28},
     {"binary-global", 13.75, 12.375, 36},
     {"path-closest", 3.25, 3.25, 16},
-    {"binary-closest-capped", 6.75, 2.1214285714285706, 47},
+    {"binary-closest-capped", 6.75, 2.1214285714285697, 47},
     {"ternary-neighborhood", 19.875, 19.875, 120},
     {"star-reactive", 0, 0, 9},
 };

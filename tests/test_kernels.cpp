@@ -30,8 +30,6 @@ using test::fuzz_shard_count;
 
 using LuColumns = std::vector<std::vector<BasisLu::Entry>>;
 
-constexpr auto kFt = BasisLu::UpdateMode::ForrestTomlin;
-
 LuColumns random_basis_columns(Rng& rng, std::size_t m, double density) {
   LuColumns columns(m);
   for (std::size_t p = 0; p < m; ++p) {
@@ -46,7 +44,7 @@ LuColumns random_basis_columns(Rng& rng, std::size_t m, double density) {
   return columns;
 }
 
-/// Replace column p of the FT basis through the spike path, mirroring the
+/// Replace column p of the basis through the spike path, mirroring the
 /// change in `columns`. Returns false when the update was refused.
 bool apply_random_replacement(Rng& rng, BasisLu& lu, LuColumns& columns,
                               std::size_t p) {
@@ -59,7 +57,7 @@ bool apply_random_replacement(Rng& rng, BasisLu& lu, LuColumns& columns,
   std::vector<double> w(m, 0.0);
   for (const auto& e : incoming) w[e.index] = e.value;
   lu.ftran(w);
-  if (!lu.update(p, w, 1e-12)) return false;
+  if (!lu.update(p, 1e-12)) return false;
   columns[p] = incoming;
   return true;
 }
@@ -85,7 +83,7 @@ std::vector<double> random_sparse_rhs(Rng& rng, std::size_t m,
 void make_updated_ft_basis(Rng& rng, std::size_t m, std::size_t updates,
                            BasisLu& lu, LuColumns& columns) {
   columns = random_basis_columns(rng, m, 0.08);
-  ASSERT_TRUE(lu.factorize(m, columns, 0.1, kFt));
+  ASSERT_TRUE(lu.factorize(m, columns));
   for (std::size_t u = 0; u < updates; ++u)
     apply_random_replacement(rng, lu, columns, rng.uniform_index(m));
 }
@@ -219,12 +217,12 @@ TEST(LuKernel, SparseSpikeStashFeedsUpdate) {
         pattern.push_back(e.index);
       }
       lu.ftran_sparse(w, pattern, 1.0);
-      if (!lu.update(p, w, 1e-12)) continue;
+      if (!lu.update(p, 1e-12)) continue;
       columns[p] = incoming;
     }
 
     BasisLu fresh;
-    ASSERT_TRUE(fresh.factorize(m, columns, 0.1, kFt));
+    ASSERT_TRUE(fresh.factorize(m, columns));
     std::vector<double> rhs(m);
     for (auto& v : rhs) v = rng.uniform(-2, 2);
     auto via_updates = rhs, via_fresh = rhs;
@@ -247,8 +245,8 @@ TEST(LuKernel, CompressRfileFoldsEtasIntoU) {
     BasisLu lu;
     LuColumns columns;
     make_updated_ft_basis(rng, m, 6 + rng.uniform_index(6), lu, columns);
-    if (lu.reta_count() == 0) continue;
-    const std::size_t etas_before = lu.reta_count();
+    if (lu.rfile_etas() == 0) continue;
+    const std::size_t etas_before = lu.rfile_etas();
 
     std::vector<double> rhs(m);
     for (auto& v : rhs) v = rng.uniform(-2, 2);
@@ -257,7 +255,7 @@ TEST(LuKernel, CompressRfileFoldsEtasIntoU) {
     lu.btran(before_b);
 
     ASSERT_TRUE(lu.compress_rfile(1e-9)) << "trial " << trial;
-    EXPECT_LE(lu.reta_count(), etas_before);
+    EXPECT_LE(lu.rfile_etas(), etas_before);
 
     auto after_f = rhs, after_b = rhs;
     lu.ftran(after_f);
@@ -284,7 +282,7 @@ TEST(LuKernel, UpdatesKeepWorkingAfterCompression) {
       apply_random_replacement(rng, lu, columns, rng.uniform_index(m));
       if (round % 2 == 1) ASSERT_TRUE(lu.compress_rfile(1e-9));
       BasisLu fresh;
-      ASSERT_TRUE(fresh.factorize(m, columns, 0.1, kFt));
+      ASSERT_TRUE(fresh.factorize(m, columns));
       std::vector<double> rhs(m);
       for (auto& v : rhs) v = rng.uniform(-2, 2);
       auto via_updates = rhs, via_fresh = rhs;

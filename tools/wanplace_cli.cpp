@@ -49,14 +49,19 @@
 //                      (dual = dual simplex; falls back to primal when no
 //                      dual-feasible start exists)
 //
-// Telemetry (select and bound):
+// Telemetry (select, plan, bound and serve):
 //   --trace-out FILE   write solver telemetry as JSONL (spans, samples,
 //                      metrics; schema in src/obs/trace.h — note --trace is
 //                      the *workload* trace input, not this)
 //   --trace-summary    print the aggregated span tree to stdout
+//
+// Sensitivity (select and bound):
 //   --report           print per-solve sensitivity reports with QoS-row
 //                      shadow prices ("class SC pays 0.42/unit of Tqos
 //                      slack")
+//
+// Every command rejects a flag it does not take ("error: select: unknown
+// flag --tqso"), so a typo never runs silently with the default.
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -126,6 +131,37 @@ struct Args {
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
 
+/// Reject any flag the command does not take. Every command but
+/// gen-example loads an instance, so it takes the load and telemetry flags
+/// on top of its own.
+void check_flags(const Args& args) {
+  static const std::set<std::string> kLoad = {
+      "topology", "trace",      "tqos",  "tlat", "intervals",
+      "origin",   "time-limit", "scope", "solver"};
+  static const std::set<std::string> kTelemetry = {"trace-out",
+                                                   "trace-summary"};
+  static const std::map<std::string, std::set<std::string>> kOwn = {
+      {"gen-example",
+       {"out", "seed", "gen", "nodes", "depth", "fanout", "level-latency",
+        "jitter", "level-bandwidth", "objects", "requests"}},
+      {"select", {"report"}},
+      {"plan", {"zeta"}},
+      {"bound", {"class", "report"}},
+      {"serve",
+       {"events", "max-events", "batch", "class", "margin", "metrics-out",
+        "metrics-format"}}};
+  const auto own = kOwn.find(args.command);
+  if (own == kOwn.end()) return;  // unknown command: main prints usage
+  const bool loads = args.command != "gen-example";
+  for (const auto& option : args.options) {
+    const std::string& flag = option.first;
+    if (own->second.count(flag) ||
+        (loads && (kLoad.count(flag) || kTelemetry.count(flag))))
+      continue;
+    throw Error(args.command + ": unknown flag --" + flag);
+  }
+}
+
 Args parse(int argc, char** argv) {
   // Flags that take no value.
   static const std::set<std::string> kSwitches = {"report", "trace-summary"};
@@ -144,6 +180,7 @@ Args parse(int argc, char** argv) {
     if (i + 1 >= argc) throw Error("missing value for --" + flag);
     args.options[flag] = argv[++i];
   }
+  check_flags(args);
   return args;
 }
 
@@ -489,6 +526,7 @@ int cmd_select(const Args& args) {
 }
 
 int cmd_plan(const Args& args) {
+  telemetry_begin(args);
   const auto loaded = load(args);
   core::PlannerOptions options;
   options.zeta = args.get_double("zeta", 10'000);
@@ -503,6 +541,7 @@ int cmd_plan(const Args& args) {
   if (plan.selection.has_recommendation())
     std::cout << "suggested heuristic: " << plan.selection.suggestion
               << "\n";
+  telemetry_end(args);
   return 0;
 }
 
