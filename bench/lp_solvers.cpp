@@ -274,13 +274,10 @@ void run_event_replay(::benchmark::State& state) {
     for (std::size_t start = 0; start < script.size();
          start += batch_size) {
       const auto last = std::min(script.size(), start + batch_size);
-      counts.pivots +=
-          batch_size <= 1
-              ? daemon.on_event(script[start]).pivots
-              : daemon
-                    .on_batch(workload::EventBatch(script.begin() + start,
-                                                   script.begin() + last))
-                    .pivots;
+      counts.pivots += daemon
+                           .on_batch(workload::EventBatch(
+                               script.begin() + start, script.begin() + last))
+                           .pivots;
       ++counts.solves;
     }
     counts.status = daemon.status();

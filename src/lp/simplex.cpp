@@ -68,12 +68,11 @@ struct Columns {
 class Simplex {
  public:
   Simplex(const LpModel& model, const SimplexOptions& options)
-      : model_(model), options_(options) {
-    build();
-  }
+      : model_(model), options_(options) {}
 
   LpSolution run() {
     obs::Span span("simplex");
+    build();
     const LpSolution solution = use_dual() ? run_dual() : run_phases();
     if (span.active()) {
       span.attr("rows", static_cast<double>(m_));

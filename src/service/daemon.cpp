@@ -1,6 +1,8 @@
 #include "service/daemon.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <variant>
 
@@ -13,17 +15,43 @@ namespace wanplace::service {
 
 namespace {
 
-/// Time one stage into `slot` and (when enabled) the matching
-/// service.stage.* histogram, so --trace-summary can show stage quantiles.
-struct StageTimer {
-  StageTimer(double& slot, const char* metric)
-      : slot_(slot), metric_(metric) {}
-  ~StageTimer() {
-    slot_ = watch_.elapsed_seconds();
-    if (obs::metrics_enabled()) obs::histogram_record(metric_, slot_);
+/// The three names of one daemon stage: its trace span, its latency
+/// histogram (so --trace-summary can show stage quantiles) and its key in
+/// the series point's `seconds`.
+struct StageNames {
+  const char* span;
+  const char* histogram;
+  const char* key;
+};
+
+enum Stage : std::size_t { kValidate, kPatch, kResolve, kAudit, kPolicy };
+
+/// Indexed by Stage; series points list the stages in this order.
+constexpr StageNames kStages[] = {
+    {"service.validate", "service.stage.validate_s", "validate"},
+    {"service.patch", "service.stage.patch_s", "patch"},
+    {"service.resolve", "service.stage.resolve_s", "resolve"},
+    {"service.audit", "service.stage.audit_s", "audit"},
+    {"service.policy", "service.stage.policy_s", "policy"},
+};
+
+/// One timed stage: the stage's span while open; on close, the wall
+/// seconds go to the stage's slot and (when enabled) its histogram.
+class StageScope {
+ public:
+  StageScope(Stage stage, std::array<double, std::size(kStages)>& seconds)
+      : stage_(stage), seconds_(seconds), span_(kStages[stage].span) {}
+  ~StageScope() {
+    seconds_[stage_] = watch_.elapsed_seconds();
+    if (obs::metrics_enabled())
+      obs::histogram_record(kStages[stage_].histogram, seconds_[stage_]);
   }
-  double& slot_;
-  const char* metric_;
+  void attr(const char* key, double value) { span_.attr(key, value); }
+
+ private:
+  Stage stage_;
+  std::array<double, std::size(kStages)>& seconds_;
+  obs::Span span_;
   Stopwatch watch_;
 };
 
@@ -51,11 +79,10 @@ EventOutcome PlacementDaemon::start() {
   // The initial model is by definition a full build.
   ++rebuilds_;
   if (obs::metrics_enabled()) obs::counter_add("service.rebuilds");
-  StageSeconds stages;
+  StageSeconds stages{};
   bounds::BoundDetail detail;
   {
-    StageTimer timer(stages.resolve, "service.stage.resolve_s");
-    obs::Span resolve("service.resolve");
+    StageScope resolve(kResolve, stages);
     detail = bounds::compute_bound_detail(instance_, options_.spec,
                                           options_.bounds);
   }
@@ -63,152 +90,79 @@ EventOutcome PlacementDaemon::start() {
 }
 
 EventOutcome PlacementDaemon::on_event(const workload::Event& event) {
-  WANPLACE_REQUIRE(started_, "call PlacementDaemon::start before on_event");
-  EventOutcome out;
-  out.index = ++events_;
-  out.kind = workload::event_kind(event);
-  obs::Span span("service.event");
-  span.attr("event", static_cast<double>(out.index));
-  span.label("kind", out.kind);
-  if (obs::metrics_enabled()) {
-    obs::counter_add("service.events");
-    obs::gauge_set("service.event_index", static_cast<double>(out.index));
-  }
-  StageSeconds stages;
-
-  // Capture the incremental-window decision on the PRE-event instance:
-  // whether an event is patchable must not depend on the mutation it is
-  // about to make (apply_delta re-checks post-event as a guard; the two
-  // views agreeing is regression-fuzzed).
-  const bool pre_supported =
-      mcperf::delta_supported(instance_, options_.spec, event);
-
-  {
-    StageTimer timer(stages.validate, "service.stage.validate_s");
-    obs::Span validate("service.validate");
-    try {
-      instance_.apply_delta(event, options_.tlat_ms);
-    } catch (const InvalidArgument& err) {
-      // apply_delta validates before mutating, so the instance — and with
-      // it the model and the live plan — are exactly as before the bad
-      // event. The event still consumed its index: the rejection is
-      // recorded at that index in the counters, the span and the series,
-      // so applied + rejected == events always holds.
-      out.rejected = true;
-      out.error = err.what();
-      out.reason = "rejected";
-      ++rejected_;
-      validate.attr("rejected", 1);
-      if (obs::metrics_enabled()) obs::counter_add("service.rejected");
-    }
-  }
-  if (out.rejected) {
-    append_point(out, stages);
-    return out;
-  }
-  ++applied_;
-  if (obs::metrics_enabled()) obs::counter_add("service.applied");
-
-  {
-    StageTimer timer(stages.patch, "service.stage.patch_s");
-    obs::Span patch("service.patch");
-    out.incremental =
-        advance_model(instance_, options_.spec, event, state_, pre_supported);
-    patch.attr("incremental", out.incremental ? 1 : 0);
-  }
-  if (out.incremental)
-    ++incremental_;
-  else
-    ++rebuilds_;
-
-  bounds::BoundDetail detail;
-  {
-    StageTimer timer(stages.resolve, "service.stage.resolve_s");
-    obs::Span resolve("service.resolve");
-    bounds::BoundOptions solve = options_.bounds;
-    if (!state_.basis.empty()) {
-      solve.warm.basis = &state_.basis;
-      out.warm = true;
-    }
-    detail = bounds::compute_bound_built(instance_, options_.spec,
-                                         std::move(state_.built), solve);
-  }
-
-  // The live plan keeps its shape in step with the node set: a fresh node
-  // stores nothing until a publish says otherwise.
-  if (incumbent_ && std::holds_alternative<workload::NodeJoinEvent>(event))
-    incumbent_->grow_x(instance_.node_count());
-
-  return finish(std::move(out), std::move(detail), stages);
+  return ingest({&event, 1}, workload::event_kind(event));
 }
 
 EventOutcome PlacementDaemon::on_batch(const workload::EventBatch& batch) {
-  WANPLACE_REQUIRE(started_, "call PlacementDaemon::start before on_batch");
-  WANPLACE_REQUIRE(!batch.empty(), "on_batch needs at least one event");
+  return ingest(batch, "batch[" + std::to_string(batch.size()) + "]");
+}
+
+EventOutcome PlacementDaemon::ingest(std::span<const workload::Event> events,
+                                     std::string kind) {
+  WANPLACE_REQUIRE(started_, "call PlacementDaemon::start before any event");
+  WANPLACE_REQUIRE(!events.empty(), "on_batch needs at least one event");
+  const auto count = static_cast<double>(events.size());
   EventOutcome out;
-  events_ += batch.size();
-  out.index = events_;  // the batch's last consumed event index
-  out.kind = "batch[" + std::to_string(batch.size()) + "]";
+  events_ += events.size();
+  out.index = events_;  // the last consumed event index
+  out.kind = std::move(kind);
   obs::Span span("service.event");
   span.attr("event", static_cast<double>(out.index));
-  span.attr("batch", static_cast<double>(batch.size()));
+  span.attr("batch", count);
   span.label("kind", out.kind);
   if (obs::metrics_enabled()) {
-    obs::counter_add("service.events", static_cast<double>(batch.size()));
+    obs::counter_add("service.events", count);
     obs::gauge_set("service.event_index", static_cast<double>(out.index));
   }
-  StageSeconds stages;
+  StageSeconds stages{};
 
   {
-    StageTimer timer(stages.validate, "service.stage.validate_s");
-    obs::Span validate("service.validate");
-    // Atomic all-or-nothing: dry-run the whole batch on a scratch copy, so
-    // one bad event anywhere rejects the batch before the real instance,
-    // the model, or the live plan is touched. Every event in a rejected
-    // batch still consumes its index, keeping applied + rejected == events.
+    StageScope validate(kValidate, stages);
+    // Atomic all-or-nothing: dry-run every event on a scratch copy, so one
+    // bad event anywhere rejects the call before the real instance, the
+    // model, or the live plan is touched. Every rejected event still
+    // consumes its index — recorded at that index in the counters, the
+    // span and the series — so applied + rejected == events always holds.
     mcperf::Instance scratch = instance_;
     try {
-      for (const auto& event : batch)
+      for (const auto& event : events)
         scratch.apply_delta(event, options_.tlat_ms);
     } catch (const InvalidArgument& err) {
       out.rejected = true;
       out.error = err.what();
       out.reason = "rejected";
-      rejected_ += batch.size();
-      validate.attr("rejected", static_cast<double>(batch.size()));
-      if (obs::metrics_enabled())
-        obs::counter_add("service.rejected",
-                         static_cast<double>(batch.size()));
+      rejected_ += events.size();
+      validate.attr("rejected", count);
+      if (obs::metrics_enabled()) obs::counter_add("service.rejected", count);
     }
   }
   if (out.rejected) {
     append_point(out, stages);
     return out;
   }
-  applied_ += batch.size();
-  if (obs::metrics_enabled())
-    obs::counter_add("service.applied", static_cast<double>(batch.size()));
+  applied_ += events.size();
+  if (obs::metrics_enabled()) obs::counter_add("service.applied", count);
 
   {
-    StageTimer timer(stages.patch, "service.stage.patch_s");
-    obs::Span patch("service.patch");
+    StageScope patch(kPatch, stages);
     // Fold every event's mutation and model patch in before the single
     // re-solve below; the outcome is incremental only if every event was.
     out.incremental = true;
-    for (const auto& event : batch) {
+    for (const auto& event : events) {
+      // The incremental-window decision is taken on the PRE-event
+      // instance: whether an event is patchable must not depend on the
+      // mutation it is about to make (apply_delta re-checks post-event as
+      // a guard; the two views agreeing is regression-fuzzed).
       const bool pre_supported =
           mcperf::delta_supported(instance_, options_.spec, event);
       instance_.apply_delta(event, options_.tlat_ms);
-      const bool incremental =
-          advance_model(instance_, options_.spec, event, state_,
-                        pre_supported);
+      const bool incremental = advance_model(instance_, options_.spec, event,
+                                             state_, pre_supported);
       out.incremental = out.incremental && incremental;
-      if (incremental)
-        ++incremental_;
-      else
-        ++rebuilds_;
-      if (incumbent_ &&
-          std::holds_alternative<workload::NodeJoinEvent>(event))
+      ++(incremental ? incremental_ : rebuilds_);
+      // The live plan keeps its shape in step with the node set: a fresh
+      // node stores nothing until a publish says otherwise.
+      if (incumbent_ && std::holds_alternative<workload::NodeJoinEvent>(event))
         incumbent_->grow_x(instance_.node_count());
     }
     patch.attr("incremental", out.incremental ? 1 : 0);
@@ -216,8 +170,7 @@ EventOutcome PlacementDaemon::on_batch(const workload::EventBatch& batch) {
 
   bounds::BoundDetail detail;
   {
-    StageTimer timer(stages.resolve, "service.stage.resolve_s");
-    obs::Span resolve("service.resolve");
+    StageScope resolve(kResolve, stages);
     bounds::BoundOptions solve = options_.bounds;
     if (!state_.basis.empty()) {
       solve.warm.basis = &state_.basis;
@@ -263,9 +216,8 @@ EventOutcome PlacementDaemon::finish(EventOutcome out,
     last_cold_pivots_ = out.pivots;
   }
 
-  CandidatePlan candidate;
-  candidate.feasible = detail.bound.rounded_feasible;
-  candidate.cost = detail.bound.rounded_cost;
+  const CandidatePlan candidate{detail.bound.rounded_feasible,
+                                detail.bound.rounded_cost};
   out.candidate_feasible = candidate.feasible;
   out.candidate_cost = candidate.cost;
   if (!candidate.feasible && obs::metrics_enabled()) {
@@ -281,10 +233,8 @@ EventOutcome PlacementDaemon::finish(EventOutcome out,
                          : "service.regret.no_candidate.unachievable");
   }
 
-  IncumbentPlan incumbent;
   {
-    StageTimer timer(stages.audit, "service.stage.audit_s");
-    obs::Span audit_span("service.audit");
+    StageScope audit(kAudit, stages);
     if (incumbent_) {
       out.audit = audit_incumbent(instance_, options_.spec, *incumbent_);
       out.audit.lower_bound = out.lower_bound;
@@ -294,18 +244,16 @@ EventOutcome PlacementDaemon::finish(EventOutcome out,
         out.audit.relative_regret =
             out.audit.regret / std::max(out.audit.lower_bound, 1.0);
       }
-      incumbent.exists = true;
-      incumbent.feasible = out.audit.feasible();
-      incumbent.cost = out.audit.cost;
     }
   }
+  const IncumbentPlan incumbent{out.audit.exists, out.audit.feasible(),
+                                out.audit.cost};
   out.incumbent_feasible = incumbent.feasible;
   out.incumbent_cost = incumbent.cost;
 
   PublishDecision decision;
   {
-    StageTimer timer(stages.policy, "service.stage.policy_s");
-    obs::Span policy_span("service.policy");
+    StageScope policy(kPolicy, stages);
     decision = decide(options_.policy, incumbent, candidate);
   }
   out.published = decision.publish;
@@ -360,11 +308,9 @@ void PlacementDaemon::append_point(const EventOutcome& out,
       }
     }
   }
-  point.seconds = {
-      {"validate", stages.validate}, {"patch", stages.patch},
-      {"resolve", stages.resolve},   {"audit", stages.audit},
-      {"policy", stages.policy},
-  };
+  point.seconds.reserve(std::size(kStages));
+  for (std::size_t s = 0; s < std::size(kStages); ++s)
+    point.seconds.emplace_back(kStages[s].key, stages[s]);
   series_.append(std::move(point));
 }
 

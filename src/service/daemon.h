@@ -20,9 +20,11 @@
 // event. `status()` is the health snapshot a probe would poll.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "bounds/engine.h"
@@ -50,7 +52,7 @@ struct DaemonOptions {
 /// What one event did to the daemon, for replay logs and the golden tests.
 struct EventOutcome {
   std::size_t index = 0;       // 0 for start(), 1.. for events
-  std::string kind;            // "start" or workload::event_kind
+  std::string kind;            // "start", workload::event_kind or "batch[N]"
   bool rejected = false;       // malformed event; daemon state untouched
   std::string error;           // rejection message when rejected
 
@@ -103,24 +105,21 @@ class PlacementDaemon {
   PlacementDaemon(mcperf::Instance instance, DaemonOptions options);
 
   /// Cold-solve the initial instance; publishes the first plan when the
-  /// rounding produced a feasible one. Call once, before any on_event.
+  /// rounding produced a feasible one. Call once, before any event.
   EventOutcome start();
 
-  /// Ingest one drift event: apply it to the instance (a malformed event
-  /// is rejected atomically — instance, model and plan all unchanged),
-  /// advance the LP, warm re-solve, audit the incumbent under the drifted
-  /// instance, and run the publish policy.
+  /// Ingest one drift event: exactly on_batch({event}), except that the
+  /// outcome and its series point carry the event's own kind
+  /// (workload::event_kind) instead of "batch[1]".
   EventOutcome on_event(const workload::Event& event);
 
-  /// Ingest a burst of events as ONE re-optimization point: the whole
-  /// batch is dry-run on a scratch instance first, so one invalid event
-  /// anywhere rejects the batch atomically (instance, model and plan all
-  /// unchanged, every event counted rejected at its consumed index); a
-  /// valid batch folds every mutation and model patch in and then runs a
-  /// single warm re-solve + audit + publish decision. Per-event accounting
-  /// is preserved — applied + rejected == events — while the solve-side
-  /// work (and the series) advances once per batch, under kind
-  /// "batch[N]". REQUIREs a non-empty batch.
+  /// Ingest a burst of events as ONE re-optimization point. The batch is
+  /// dry-run on a scratch instance first, so one invalid event rejects it
+  /// atomically (instance, model and plan unchanged; every event counted
+  /// rejected at its consumed index). A valid batch folds every mutation
+  /// and model patch in, then runs one warm re-solve, incumbent audit and
+  /// publish decision, and one series point, under kind "batch[N]";
+  /// applied + rejected == events still holds. REQUIREs a non-empty batch.
   EventOutcome on_batch(const workload::EventBatch& batch);
 
   const mcperf::Instance& instance() const { return instance_; }
@@ -138,10 +137,13 @@ class PlacementDaemon {
   DaemonStatus status() const;
 
  private:
-  struct StageSeconds {
-    double validate = 0, patch = 0, resolve = 0, audit = 0, policy = 0;
-  };
+  /// Wall seconds per stage, indexed like the stage table in daemon.cpp.
+  using StageSeconds = std::array<double, 5>;
 
+  /// The one ingest body behind on_event and on_batch; `kind` names the
+  /// outcome and its series point.
+  EventOutcome ingest(std::span<const workload::Event> events,
+                      std::string kind);
   EventOutcome finish(EventOutcome outcome, bounds::BoundDetail detail,
                       StageSeconds stages);
   void append_point(const EventOutcome& outcome, const StageSeconds& stages);

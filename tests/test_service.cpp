@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "mcperf/heuristic_class.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/daemon.h"
 #include "service/delta.h"
 #include "service/policy.h"
@@ -451,6 +454,27 @@ TEST(Service, WidenedWindowStaysIncremental) {
   }
 }
 
+void expect_same_status(const service::DaemonStatus& a,
+                        const service::DaemonStatus& b) {
+  EXPECT_EQ(a.has_plan, b.has_plan);
+  EXPECT_EQ(a.incumbent_cost, b.incumbent_cost);
+  EXPECT_EQ(a.published_cost, b.published_cost);
+  EXPECT_EQ(a.lower_bound, b.lower_bound);
+  EXPECT_EQ(a.regret, b.regret);
+  EXPECT_EQ(a.relative_regret, b.relative_regret);
+  EXPECT_EQ(a.margin, b.margin);
+  EXPECT_EQ(a.last_reason, b.last_reason);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.applied, b.applied);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.publishes, b.publishes);
+  EXPECT_EQ(a.holds, b.holds);
+  EXPECT_EQ(a.rebuilds, b.rebuilds);
+  EXPECT_EQ(a.incremental, b.incremental);
+  EXPECT_EQ(a.basis_drops, b.basis_drops);
+  EXPECT_EQ(a.events_since_publish, b.events_since_publish);
+}
+
 // Batching: singleton batches replay the drift script bit-for-bit against
 // the per-event path (same solves, same decisions, same published plan),
 // and folding the script into two batches still lands on the same instance
@@ -468,7 +492,8 @@ TEST(Service, BatchMatchesSequential) {
   bat.start();
   const auto events = service_events();
   service::EventOutcome last_seq;
-  for (const auto& event : events) {
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const auto& event = events[e];
     last_seq = seq.on_event(event);
     const auto folded = one.on_batch(workload::EventBatch{event});
     // A batch of one is the event path with batch accounting: the solve,
@@ -478,6 +503,18 @@ TEST(Service, BatchMatchesSequential) {
     EXPECT_EQ(folded.lower_bound, last_seq.lower_bound);
     EXPECT_EQ(folded.published, last_seq.published);
     EXPECT_EQ(folded.reason, last_seq.reason);
+    if (e == 3) {
+      // A rejected singleton is the rejected event: same error, same
+      // consumed index, same counters; the replay then continues in step.
+      const workload::Event bad = workload::DemandDeltaEvent{99, 0, 0, 1, 0};
+      const auto seq_bad = seq.on_event(bad);
+      const auto one_bad = one.on_batch({bad});
+      EXPECT_TRUE(seq_bad.rejected);
+      EXPECT_EQ(one_bad.rejected, seq_bad.rejected);
+      EXPECT_EQ(one_bad.error, seq_bad.error);
+      EXPECT_EQ(one_bad.index, seq_bad.index);
+      expect_same_status(one.status(), seq.status());
+    }
   }
   ASSERT_EQ(seq.has_plan(), one.has_plan());
   ASSERT_TRUE(seq.has_plan());
@@ -521,8 +558,8 @@ TEST(Service, BatchMatchesSequential) {
   EXPECT_EQ(bat.status().events, 7u);
   EXPECT_EQ(bat.status().applied, 7u);
   EXPECT_EQ(bat.status().rejected, 0u);
-  EXPECT_EQ(bat.events_seen(), seq.events_seen());
-  EXPECT_EQ(seq.series().total_appended(), 8u);  // start + 7 events
+  EXPECT_EQ(bat.events_seen() + 1, seq.events_seen());  // + the rejected
+  EXPECT_EQ(seq.series().total_appended(), 9u);  // start + 8 events
   EXPECT_EQ(bat.series().total_appended(), 3u);  // start + 2 batches
 }
 
@@ -723,6 +760,74 @@ TEST(Service, BitIdenticalWithExportEnabled) {
   // Exporting only reads telemetry state: solves stay BIT-identical.
   EXPECT_EQ(plain_bounds, traced_bounds);
   EXPECT_EQ(plain_costs, traced_costs);
+}
+
+// One stage scope per stage: every event times each stage at most once,
+// the stage histograms count exactly the stage spans, and every series
+// point carries the five stage timings in pipeline order — on the event
+// path, the batch path, and both rejection paths.
+TEST(Service, StageTelemetryMatchesSeries) {
+  const std::vector<std::string> stages = {"validate", "patch", "resolve",
+                                           "audit", "policy"};
+  auto& registry = obs::Registry::global();
+  auto& tracer = obs::Tracer::global();
+  registry.enable(true);
+  registry.reset();
+  tracer.enable(true);
+  tracer.reset();
+  std::vector<obs::SeriesPoint> points;
+  {
+    service::PlacementDaemon daemon(
+        service_instance(), daemon_options(mcperf::classes::general()));
+    daemon.start();
+    const auto events = service_events();
+    daemon.on_event(events[0]);
+    EXPECT_TRUE(
+        daemon.on_event(workload::DemandDeltaEvent{99, 0, 0, 1, 0}).rejected);
+    daemon.on_event(events[1]);
+    daemon.on_batch(workload::EventBatch(events.begin() + 2, events.end()));
+    EXPECT_TRUE(daemon
+                    .on_batch({workload::DemandDeltaEvent{0, 0, 0, 1, 0},
+                               workload::DemandDeltaEvent{0, 99, 0, 1, 0}})
+                    .rejected);
+    points = daemon.series().points();
+  }
+  const auto snapshot = registry.snapshot();
+  const auto spans = tracer.spans();
+  registry.enable(false);
+  registry.reset();
+  tracer.enable(false);
+  tracer.reset();
+
+  std::map<std::uint64_t, std::string> name_of;
+  std::map<std::string, std::size_t> span_count;
+  for (const auto& span : spans) {
+    name_of[span.id] = span.name;
+    ++span_count[span.name];
+  }
+  EXPECT_EQ(span_count["service.event"], 6u);  // start + 5 calls
+  std::set<std::pair<std::uint64_t, std::string>> event_stages;
+  for (const auto& span : spans) {
+    const auto parent = name_of.find(span.parent);
+    if (parent == name_of.end() || parent->second != "service.event")
+      continue;
+    EXPECT_TRUE(event_stages.emplace(span.parent, span.name).second)
+        << "event span " << span.parent << " has two " << span.name;
+  }
+  for (const auto& stage : stages) {
+    const auto histogram = snapshot.find("service.stage." + stage + "_s");
+    const std::uint64_t recorded =
+        histogram == snapshot.end() ? 0 : histogram->second.count;
+    EXPECT_GT(recorded, 0u) << stage;
+    EXPECT_EQ(recorded, span_count["service." + stage]) << stage;
+  }
+
+  ASSERT_EQ(points.size(), 6u);
+  for (const auto& point : points) {
+    std::vector<std::string> keys;
+    for (const auto& [key, seconds] : point.seconds) keys.push_back(key);
+    EXPECT_EQ(keys, stages) << point.index << " " << point.kind;
+  }
 }
 
 }  // namespace

@@ -24,7 +24,9 @@ must carry a numeric "event" attr (the monotonic event index) and a string
 "kind" attr, and every per-stage span (service.validate / service.patch /
 service.resolve / service.audit / service.policy) must have a
 `service.event` ancestor, so per-stage latency is always attributable to
-one event. Exits 1 with a message on the first violation.
+one event. A `service.event` span has at most one child of each stage
+name: every stage is timed once per event. Exits 1 with a message on the
+first violation.
 """
 
 import argparse
@@ -69,9 +71,10 @@ def check_span(lineno, obj, span_ids):
         fail(lineno, f"span parent {obj['parent']} not seen before child")
 
 
-def check_span_causality(lineno, obj, name_by_id, parent_by_id):
-    """Schema v2: daemon spans carry event identity and stage spans nest
-    under a service.event ancestor."""
+def check_span_causality(lineno, obj, name_by_id, parent_by_id,
+                         event_stages):
+    """Schema v2: daemon spans carry event identity, stage spans nest under
+    a service.event ancestor, and no event times a stage twice."""
     name = obj["name"]
     if name == "service.event":
         attrs = obj["attrs"]
@@ -80,6 +83,11 @@ def check_span_causality(lineno, obj, name_by_id, parent_by_id):
         if not isinstance(attrs.get("kind"), str):
             fail(lineno, "service.event span lacks a string 'kind' attr")
     if name in STAGE_SPANS:
+        if name_by_id.get(obj["parent"]) == "service.event":
+            if (obj["parent"], name) in event_stages:
+                fail(lineno, f"service.event span {obj['parent']} has two "
+                             f"{name!r} children")
+            event_stages.add((obj["parent"], name))
         ancestor = obj["parent"]
         while ancestor != 0 and name_by_id.get(ancestor) != "service.event":
             ancestor = parent_by_id.get(ancestor, 0)
@@ -129,6 +137,7 @@ def main():
     span_names = set()
     name_by_id = {}
     parent_by_id = {}
+    event_stages = set()  # (service.event id, stage name) pairs seen
     spans = samples = 0
     with open(args.trace, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -162,7 +171,7 @@ def main():
                 parent_by_id[obj["id"]] = obj["parent"]
                 if version >= 2:
                     check_span_causality(lineno, obj, name_by_id,
-                                         parent_by_id)
+                                         parent_by_id, event_stages)
                 spans += 1
             elif kind == "sample":
                 check_sample(lineno, obj)

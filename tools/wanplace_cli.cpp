@@ -23,8 +23,8 @@
 //       drift-event stream (demand deltas, node join/leave, latency
 //       updates; gen-example writes a sample events.txt). The LP is
 //       delta-patched and warm-started per event; a new plan is published
-//       only when it beats the incumbent by --margin (default 0.01) or the
-//       incumbent turned infeasible. --class NAME (default general),
+//       only when it beats the incumbent by --margin (default 0.01, must
+//       be >= 0) or the incumbent turned infeasible. --class NAME (default general),
 //       --max-events N to truncate the stream. --batch N folds every N
 //       consecutive events into one atomic mutation + model patch + warm
 //       re-solve (a batch with any invalid event is rejected whole;
@@ -40,7 +40,7 @@
 //
 // Common options:
 //   --tqos 0.99        QoS target (fraction of reads within the threshold)
-//   --tlat 150         latency threshold in ms
+//   --tlat 150         latency threshold in ms (must be > 0)
 //   --intervals 24     evaluation intervals over the trace horizon
 //   --origin 0         node id of the origin/headquarters
 //   --scope per-user | overall | per-object | per-user-object
@@ -229,6 +229,9 @@ Loaded load(const Args& args) {
                    "trace and topology node counts differ");
 
   const double tlat = args.get_double("tlat", 150);
+  if (tlat <= 0)
+    throw Error("--tlat: expected a positive number, got '" +
+                args.get("tlat", "") + "'");
   const auto intervals = args.get_size("intervals", 24);
   loaded.instance.demand = workload::aggregate(trace, intervals);
   loaded.instance.dist = graph::within_threshold(loaded.latencies, tlat);
@@ -394,6 +397,9 @@ int cmd_serve(const Args& args) {
   options.spec = parse_class(args.get("class", "general"));
   options.bounds = bound_options(args);
   options.policy.min_relative_gain = args.get_double("margin", 0.01);
+  if (options.policy.min_relative_gain < 0)
+    throw Error("--margin: expected a non-negative number, got '" +
+                args.get("margin", "") + "'");
   options.tlat_ms = args.get_double("tlat", 150);
   service::PlacementDaemon daemon(loaded.instance, options);
 
