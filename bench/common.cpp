@@ -11,6 +11,7 @@
 #include "heuristics/cache.h"
 #include "obs/metrics.h"
 #include "sim/sweep.h"
+#include "util/line_reader.h"
 
 namespace wanplace::bench {
 
@@ -35,9 +36,9 @@ bool small_scale() {
 
 double time_limit_s() {
   static const double limit = [] {
-    const std::string value = env_or("WANPLACE_BENCH_TIME_LIMIT", "10");
-    const double parsed = std::atof(value.c_str());
-    return parsed > 0 ? parsed : 10.0;
+    const auto parsed =
+        parse_number(env_or("WANPLACE_BENCH_TIME_LIMIT", "10"));
+    return parsed && *parsed > 0 ? *parsed : 10.0;
   }();
   return limit;
 }

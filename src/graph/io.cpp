@@ -1,83 +1,66 @@
 #include "graph/io.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
-#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
+#include "util/line_reader.h"
 
 namespace wanplace::graph {
 
-Topology load_topology(std::istream& in) {
-  std::optional<Topology> topology;
-  double local_latency = 10.0;
-  std::vector<Edge> pending;  // edges seen before the nodes directive
-
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream fields(line);
-    std::string directive;
-    if (!(fields >> directive)) continue;  // blank / comment-only line
-
-    auto fail = [&](const std::string& why) {
-      throw Error("topology line " + std::to_string(line_no) + ": " + why);
-    };
-
+Topology load_topology(std::istream& in, const std::string& source) {
+  LineReader reader(in, source);
+  std::optional<NodeId> nodes;
+  std::optional<double> local_latency;
+  std::vector<std::pair<Edge, std::size_t>> edges;  // with their lines
+  while (reader.next()) {
+    const auto directive = reader.word("directive");
     if (directive == "nodes") {
-      std::size_t count = 0;
-      if (!(fields >> count) || count == 0) fail("bad node count");
-      if (topology) fail("duplicate nodes directive");
-      topology.emplace(count, local_latency);
-      for (const auto& edge : pending)
-        topology->add_edge(edge.from, edge.to, edge.latency_ms,
-                           edge.bandwidth);
-      pending.clear();
+      reader.check(!nodes, "duplicate directive");
+      nodes = reader.integer<NodeId>("node count", 1);
     } else if (directive == "local_latency") {
-      if (!(fields >> local_latency) || local_latency < 0)
-        fail("bad local latency");
-      if (topology) fail("local_latency must precede nodes");
+      reader.check(!local_latency, "duplicate directive");
+      local_latency = reader.number("local latency");
+      reader.check(*local_latency >= 0, "local latency must be >= 0, got");
     } else if (directive == "edge") {
-      Edge edge;
-      if (!(fields >> edge.from >> edge.to >> edge.latency_ms))
-        fail("bad edge");
-      // Optional fourth field, and nothing after it: a finite bandwidth cap
-      // (requests/interval).
-      std::string token, extra;
-      if (fields >> token) {
-        char* end = nullptr;
-        const double bandwidth = std::strtod(token.c_str(), &end);
-        if (*end != '\0' || !(bandwidth > 0) || !std::isfinite(bandwidth) ||
-            fields >> extra)
-          fail("bad edge bandwidth");
-        edge.bandwidth = bandwidth;
+      Edge edge{reader.integer<NodeId>("edge endpoint"),
+                reader.integer<NodeId>("edge endpoint")};
+      reader.check(edge.from != edge.to, "edge endpoints must differ, got");
+      edge.latency_ms = reader.number("edge latency");
+      reader.check(edge.latency_ms > 0, "edge latency must be positive, got");
+      if (reader.more()) {
+        edge.bandwidth = reader.number("edge bandwidth");
+        reader.check(edge.bandwidth > 0,
+                     "edge bandwidth must be positive, got");
       }
-      if (topology)
-        topology->add_edge(edge.from, edge.to, edge.latency_ms,
-                           edge.bandwidth);
-      else
-        pending.push_back(edge);
+      edges.emplace_back(edge, reader.line());
     } else {
-      fail("unknown directive '" + directive + "'");
+      reader.fail("unknown directive", directive);
     }
+    reader.end();
   }
-  if (!topology) throw Error("topology stream missing 'nodes' directive");
-  return *topology;
+  // Directives come in any order, so the endpoints are range-checked once
+  // the node count is known.
+  if (!nodes) reader.fail("missing directive", "nodes");
+  Topology topology(*nodes, local_latency.value_or(10.0));
+  for (const auto& [edge, line] : edges) {
+    for (const NodeId end : {edge.from, edge.to})
+      if (end < 0 || end >= *nodes)
+        reader.fail("edge endpoint is not an integer in [0, " +
+                        std::to_string(*nodes - 1) + "]:",
+                    std::to_string(end), line);
+    topology.add_edge(edge.from, edge.to, edge.latency_ms, edge.bandwidth);
+  }
+  return topology;
 }
 
 Topology load_topology_file(const std::string& path) {
   std::ifstream file(path);
   if (!file) throw Error("cannot open " + path);
-  try {
-    return load_topology(file);
-  } catch (const Error& error) {
-    throw Error(path + ": " + error.what());
-  }
+  return load_topology(file, path);
 }
 
 void save_topology(const Topology& topology, std::ostream& out) {

@@ -1,13 +1,11 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
+#include "util/line_reader.h"
 
 namespace wanplace::workload {
 
@@ -74,39 +72,27 @@ void Trace::save(std::ostream& out) const {
         << (req.is_write ? 'w' : 'r') << '\n';
 }
 
-Trace Trace::load(std::istream& in) {
-  std::string magic, version;
-  double duration = 0;
-  std::size_t nodes = 0, objects = 0;
-  in >> magic >> version >> duration >> nodes >> objects;
-  if (!in || magic != "wanplace-trace" || version != "v1")
-    throw Error("not a wanplace trace stream");
+Trace Trace::load(std::istream& in, const std::string& source) {
+  LineReader reader(in, source);
+  reader.header("wanplace-trace", "wanplace trace stream");
+  const double duration = reader.number("duration");
+  reader.check(duration > 0, "duration must be positive, got");
+  const auto nodes = reader.integer<graph::NodeId>("node count", 1);
+  const auto objects = reader.integer<ObjectId>("object count", 1);
+  reader.end();
   std::vector<Request> requests;
-  Request req;
-  char kind = 'r';
-  // One request per line after the header, so the record being read sits
-  // on line requests.size() + 2. A failed extraction leaves the offending
-  // token in the stream; anything but a clean end of stream is an error,
-  // never a silently shortened trace.
-  const auto fail = [&](const std::string& why) {
-    throw Error("trace line " + std::to_string(requests.size() + 2) + ": " +
-                why);
-  };
-  const auto offending_token = [&] {
-    in.clear();
-    std::string token;
-    in >> token;
-    return "bad token '" + token + "'";
-  };
-  while (in >> req.time_s) {
-    if (!(in >> req.node >> req.object >> kind))
-      fail(in.eof() ? "truncated request" : offending_token());
-    if (kind != 'r' && kind != 'w')
-      fail(std::string("bad request kind '") + kind + "'");
-    req.is_write = kind == 'w';
+  while (reader.next()) {
+    Request req{reader.number("time")};
+    reader.check(req.time_s >= 0 && req.time_s < duration,
+                 "time is outside the trace horizon, got");
+    req.node = reader.integer<graph::NodeId>("node", 0, nodes - 1);
+    req.object = reader.integer<ObjectId>("object", 0, objects - 1);
+    const auto kind = reader.word("kind");
+    reader.check(kind == "r" || kind == "w", "bad request kind");
+    req.is_write = kind == "w";
+    reader.end();
     requests.push_back(req);
   }
-  if (!in.eof()) fail(offending_token());
   return Trace(std::move(requests), duration, nodes, objects);
 }
 
@@ -120,11 +106,7 @@ void Trace::save_file(const std::string& path) const {
 Trace Trace::load_file(const std::string& path) {
   std::ifstream file(path);
   if (!file) throw Error("cannot open " + path);
-  try {
-    return load(file);
-  } catch (const Error& error) {
-    throw Error(path + ": " + error.what());
-  }
+  return load(file, path);
 }
 
 const char* event_kind(const Event& event) {
@@ -160,142 +142,44 @@ void save_events(const std::vector<Event>& events, std::ostream& out) {
   }
 }
 
-namespace {
-
-[[noreturn]] void bad_token(const std::string& source, std::size_t line_no,
-                            const std::string& message,
-                            const std::string& token) {
-  throw Error(source + ":" + std::to_string(line_no) + ": " + message + " '" +
-              token + "'");
-}
-
-/// Parse a whole token as an integer; partial consumption ("3x", "1.5")
-/// and overflow are rejected with the token in the message.
-long event_int(const std::string& source, std::size_t line_no,
-               const std::string& token, const char* what) {
-  std::size_t consumed = 0;
-  long value = 0;
-  try {
-    value = std::stol(token, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (token.empty() || consumed != token.size())
-    bad_token(source, line_no, std::string(what) + " is not an integer:",
-              token);
-  return value;
-}
-
-/// Parse a whole token as a finite double; "nan"/"inf" parse fine through
-/// std::stod but poison every downstream demand/latency computation, so
-/// they are rejected here at the file boundary.
-double event_num(const std::string& source, std::size_t line_no,
-                 const std::string& token, const char* what) {
-  std::size_t consumed = 0;
-  double value = 0;
-  try {
-    value = std::stod(token, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (token.empty() || consumed != token.size())
-    bad_token(source, line_no, std::string(what) + " is not a number:",
-              token);
-  if (!std::isfinite(value))
-    bad_token(source, line_no, std::string(what) + " must be finite, got",
-              token);
-  return value;
-}
-
-}  // namespace
-
 std::vector<Event> load_events(std::istream& in, const std::string& source) {
-  std::string header;
-  if (!std::getline(in, header) ||
-      header.rfind("wanplace-events v1", 0) != 0)
-    throw Error(source + ":1: not a wanplace event stream (expected a "
-                "\"wanplace-events v1\" header)");
+  LineReader reader(in, source);
+  reader.header("wanplace-events", "wanplace event stream");
+  reader.end();
   std::vector<Event> events;
-  std::string line;
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind) || kind[0] == '#') continue;
-    const auto next = [&](const char* what) {
-      std::string token;
-      if (!(fields >> token))
-        throw Error(source + ":" + std::to_string(line_no) + ": " + kind +
-                    " event is missing its " + what + " field: '" + line +
-                    "'");
-      return token;
-    };
-    const auto reject_extras = [&] {
-      std::string extra;
-      if (fields >> extra)
-        bad_token(source, line_no,
-                  "unexpected trailing token on a " + kind + " event:",
-                  extra);
-    };
+  while (reader.next()) {
+    const auto kind = reader.word("kind");
+    // Braced initializers evaluate left to right, so fields read in order.
     if (kind == "demand") {
-      DemandDeltaEvent d;
-      d.node = static_cast<graph::NodeId>(
-          event_int(source, line_no, next("node"), "node"));
-      const long interval =
-          event_int(source, line_no, next("interval"), "interval");
-      if (interval < 0)
-        bad_token(source, line_no, "interval must be >= 0, got",
-                  std::to_string(interval));
-      d.interval = static_cast<std::size_t>(interval);
-      d.object = static_cast<ObjectId>(
-          event_int(source, line_no, next("object"), "object"));
-      d.read_delta =
-          event_num(source, line_no, next("read_delta"), "read_delta");
-      d.write_delta =
-          event_num(source, line_no, next("write_delta"), "write_delta");
-      reject_extras();
-      events.push_back(d);
+      events.push_back(DemandDeltaEvent{
+          reader.integer<graph::NodeId>("node"),
+          reader.integer<std::size_t>("interval"),
+          reader.integer<ObjectId>("object"), reader.number("read_delta"),
+          reader.number("write_delta")});
     } else if (kind == "join") {
-      NodeJoinEvent j;
-      j.default_latency_ms =
-          event_num(source, line_no, next("default_latency_ms"),
-                    "default latency");
-      std::string override_spec;
-      while (fields >> override_spec) {
-        const auto colon = override_spec.find(':');
-        if (colon == std::string::npos)
-          bad_token(source, line_no, "join override wants node:latency, got",
-                    override_spec);
-        const long node =
-            event_int(source, line_no, override_spec.substr(0, colon),
-                      "join override node");
-        const double latency =
-            event_num(source, line_no, override_spec.substr(colon + 1),
-                      "join override latency");
-        j.latency_overrides.emplace_back(static_cast<graph::NodeId>(node),
-                                         latency);
+      NodeJoinEvent j{reader.number("default latency"), {}};
+      while (reader.more()) {
+        const auto spec = reader.word("override");
+        const auto colon = spec.find(':');
+        reader.check(colon != std::string_view::npos,
+                     "join override wants node:latency, got");
+        j.latency_overrides.push_back(
+            {reader.to_integer<graph::NodeId>(spec.substr(0, colon),
+                                              "join override node"),
+             reader.to_number(spec.substr(colon + 1),
+                              "join override latency")});
       }
       events.push_back(std::move(j));
     } else if (kind == "leave") {
-      NodeLeaveEvent l;
-      l.node = static_cast<graph::NodeId>(
-          event_int(source, line_no, next("node"), "node"));
-      reject_extras();
-      events.push_back(l);
+      events.push_back(NodeLeaveEvent{reader.integer<graph::NodeId>("node")});
     } else if (kind == "latency") {
-      LatencyUpdateEvent u;
-      u.a = static_cast<graph::NodeId>(
-          event_int(source, line_no, next("a"), "node a"));
-      u.b = static_cast<graph::NodeId>(
-          event_int(source, line_no, next("b"), "node b"));
-      u.latency_ms =
-          event_num(source, line_no, next("latency_ms"), "latency");
-      reject_extras();
-      events.push_back(u);
+      events.push_back(LatencyUpdateEvent{
+          reader.integer<graph::NodeId>("node a"),
+          reader.integer<graph::NodeId>("node b"), reader.number("latency")});
     } else {
-      bad_token(source, line_no, "unknown event kind", kind);
+      reader.fail("unknown event kind", kind);
     }
+    reader.end();
   }
   return events;
 }

@@ -55,10 +55,10 @@ class Trace {
 
   /// Plain text serialization: one "time node object r|w" line per request,
   /// preceded by a header line "wanplace-trace v1 <duration> <N> <K>".
-  /// load rejects a malformed or truncated request with an Error naming
-  /// the line and the offending token; load_file prefixes the path.
+  /// A request's node and object lie below N and K, its time in
+  /// [0, duration). The grammar is the one graph/io.h states.
   void save(std::ostream& out) const;
-  static Trace load(std::istream& in);
+  static Trace load(std::istream& in, const std::string& source = "trace");
   void save_file(const std::string& path) const;
   static Trace load_file(const std::string& path);
 
@@ -134,13 +134,9 @@ const char* event_kind(const Event& event);
 ///   join <default_latency_ms> [<node>:<latency_ms> ...]
 ///   leave <node>
 ///   latency <a> <b> <latency_ms>
-/// Blank lines and lines starting with '#' are skipped on load. Every
-/// numeric field is validated token by token: a malformed, trailing,
-/// missing, or non-finite (NaN/Inf) field is rejected with an Error whose
-/// message carries `<source>:<line>` and the offending token, so a CLI can
-/// point at the exact bad line instead of surfacing a raw std::stod throw.
-/// `source` names the stream in those messages (load_events_file passes
-/// the path).
+/// in the grammar graph/io.h states: '#' comments, whole tokens, ids in
+/// their type's range (NodeId, ObjectId, std::size_t), finite numbers and
+/// errors "<source>:<line>: <message> '<token>'".
 void save_events(const std::vector<Event>& events, std::ostream& out);
 std::vector<Event> load_events(std::istream& in,
                                const std::string& source = "events");

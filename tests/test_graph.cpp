@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -284,25 +285,89 @@ TEST(TopologyIo, RejectsMalformedInput) {
   EXPECT_THROW(load_topology(double_nodes), Error);
 }
 
+/// Load `text` as a topology and return the rejection message (failing
+/// the test if it parses).
+std::string load_topology_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    load_topology(in);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "topology parsed: " << text;
+  return "";
+}
+
 TEST(TopologyIo, RejectsBadEdgeBandwidth) {
-  for (const std::string edge :
-       {"edge 0 1 5 abc", "edge 0 1 5 10 extra", "edge 0 1 5 10x",
-        "edge 0 1 5 0", "edge 0 1 5 nan"}) {
-    std::stringstream in("nodes 2\n" + edge + "\n");
-    try {
-      load_topology(in);
-      ADD_FAILURE() << "accepted '" << edge << "'";
-    } catch (const Error& error) {
-      EXPECT_NE(std::string(error.what())
-                    .find("topology line 2: bad edge bandwidth"),
-                std::string::npos)
-          << edge << " -> " << error.what();
-    }
+  const std::pair<std::string, std::string> cases[] = {
+      {"edge 0 1 5 abc",
+       "topology:2: edge bandwidth is not a finite number: 'abc'"},
+      {"edge 0 1 5 10 extra", "topology:2: unexpected trailing token 'extra'"},
+      {"edge 0 1 5 10x",
+       "topology:2: edge bandwidth is not a finite number: '10x'"},
+      {"edge 0 1 5 0", "topology:2: edge bandwidth must be positive, got '0'"},
+      {"edge 0 1 5 nan",
+       "topology:2: edge bandwidth is not a finite number: 'nan'"},
+  };
+  for (const auto& [edge, expected] : cases) {
+    const auto message = load_topology_error("nodes 2\n" + edge + "\n");
+    EXPECT_NE(message.find(expected), std::string::npos)
+        << edge << " -> " << message;
   }
   std::stringstream good("nodes 2\nedge 0 1 5 10 # capped\n");
   const auto topology = load_topology(good);
   ASSERT_EQ(topology.neighbors(0).size(), 1u);
   EXPECT_EQ(topology.neighbors(0)[0].bandwidth, 10);
+}
+
+// Every token is parsed whole into its type and every domain rule is
+// checked at its line: none of these may load, and each names the line and
+// the whole offending token.
+TEST(TopologyIo, NamesTheLineAndWholeTokenOfEveryBadDirective) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"nodes 6e3\n",
+       "topology:1: node count is not an integer in [1, 2147483647]: '6e3'"},
+      {"nodes 6 junk\n", "topology:1: unexpected trailing token 'junk'"},
+      {"nodes -6\n",
+       "topology:1: node count is not an integer in [1, 2147483647]: '-6'"},
+      {"local_latency 10 oops\nnodes 6\n",
+       "topology:1: unexpected trailing token 'oops'"},
+      {"nodes 6\nedge 0 1 108.4x\n",
+       "topology:2: edge latency is not a finite number: '108.4x'"},
+      {"nodes 6\nedge 0 1 100\nedge 0 9 100\n",
+       "topology:3: edge endpoint is not an integer in [0, 5]: '9'"},
+      {"nodes 6\nedge 0 4294967297 100\n",
+       "topology:2: edge endpoint is not an integer in [-2147483648, "
+       "2147483647]: '4294967297'"},
+      {"local_latency -1\nnodes 2\n",
+       "topology:1: local latency must be >= 0, got '-1'"},
+      {"nodes 2\nedge 1 1 5\n",
+       "topology:2: edge endpoints must differ, got '1'"},
+      {"nodes 2\nedge 0 1 0\n",
+       "topology:2: edge latency must be positive, got '0'"},
+      {"nodes 2\nnodes 3\n", "topology:2: duplicate directive 'nodes'"},
+      {"# no nodes\nedge 0 1 5\n", "topology:2: missing directive 'nodes'"},
+  };
+  for (const auto& [text, expected] : cases) {
+    const auto message = load_topology_error(text);
+    EXPECT_NE(message.find(expected), std::string::npos)
+        << text << " -> " << message;
+  }
+}
+
+// The example in graph/io.h's header comment, with local_latency after
+// nodes, loads.
+TEST(TopologyIo, LoadsTheHeaderExample) {
+  std::stringstream in(
+      "nodes 20\n"
+      "local_latency 10\n"
+      "edge 0 1 120.5        # endpoints and one-way latency in ms\n"
+      "edge 1 2 98 500       # optional bandwidth cap (requests/interval)\n");
+  const auto topology = load_topology(in);
+  EXPECT_EQ(topology.node_count(), 20u);
+  EXPECT_EQ(topology.edge_count(), 2u);
+  EXPECT_TRUE(topology.has_bandwidth_caps());
+  EXPECT_DOUBLE_EQ(topology.local_latency_ms(), 10);
 }
 
 }  // namespace

@@ -89,22 +89,52 @@ TEST(Trace, LoadRejectsBadTokenInsteadOfTruncating) {
       "0 0 nan r\n"
       "1 0 1 r\n"
       "2 1 1 w\n");
-  EXPECT_NE(message.find("trace line 2: bad token 'nan'"), std::string::npos)
+  EXPECT_NE(message.find("trace:2: object is not an integer in [0, 1]: 'nan'"),
+            std::string::npos)
       << message;
 }
 
 TEST(Trace, LoadNamesTheLineOfEveryMalformedRecord) {
   const std::string header = "wanplace-trace v1 100 2 2\n0 0 0 r\n";
   const std::pair<std::string, std::string> cases[] = {
-      {"1 0 1 r\n2 x 1 w\n", "trace line 4: bad token 'x'"},
-      {"1 0 1 r\nabc 1 1 w\n", "trace line 4: bad token 'abc'"},
-      {"1 0 1 q\n", "trace line 3: bad request kind 'q'"},
-      {"1 0", "trace line 3: truncated request"},
+      {"1 0 1 r\n2 x 1 w\n", "trace:4: node is not an integer in [0, 1]: 'x'"},
+      {"1 0 1 r\nabc 1 1 w\n", "trace:4: time is not a finite number: 'abc'"},
+      {"1 0 1 q\n", "trace:3: bad request kind 'q'"},
+      {"1 0", "trace:3: missing its object field in '1 0'"},
   };
   for (const auto& [body, expected] : cases) {
     const auto message = load_trace_error(header + body);
     EXPECT_NE(message.find(expected), std::string::npos)
         << body << " -> " << message;
+  }
+}
+
+// Every field is read whole into its type and checked at its own line.
+TEST(Trace, LoadNamesTheLineAndWholeTokenOfEveryBadField) {
+  const std::string header = "wanplace-trace v1 100 2 2\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {header + "0 0 0 r 1 1 1 w\n",
+       "trace:2: unexpected trailing token '1'"},
+      {header + "0 0 0 r\n1 99 0 r\n",
+       "trace:3: node is not an integer in [0, 1]: '99'"},
+      {header + "0 -1 0 r\n", "trace:2: node is not an integer in [0, 1]: '-1'"},
+      {header + "0 3.7 0 r\n",
+       "trace:2: node is not an integer in [0, 1]: '3.7'"},
+      {"wanplace-trace v1 100 2 2 7\n0 0 0 r\n",
+       "trace:1: unexpected trailing token '7'"},
+      {header + "1e999 0 0 r\n",
+       "trace:2: time is not a finite number: '1e999'"},
+      {header + "0 0 0 r\n1 1 1 r\n2 0 1 read\n3 1 0 w\n",
+       "trace:4: bad request kind 'read'"},
+      {"wanplace-trace v1 0 2 2\n",
+       "trace:1: duration must be positive, got '0'"},
+      {header + "100 0 0 r\n",
+       "trace:2: time is outside the trace horizon, got '100'"},
+  };
+  for (const auto& [text, expected] : cases) {
+    const auto message = load_trace_error(text);
+    EXPECT_NE(message.find(expected), std::string::npos)
+        << text << " -> " << message;
   }
 }
 
@@ -220,9 +250,29 @@ TEST(Events, LoadRejectsBadKindsAndOverrides) {
                   "node:latency");
   expect_mentions(load_events_error("wanplace-events v1\njoin 100 0:oops\n"),
                   "'oops'");
+  const auto negative_interval =
+      load_events_error("wanplace-events v1\ndemand 0 -2 0 1 0\n");
+  expect_mentions(negative_interval, "events.txt:2: interval");
+  expect_mentions(negative_interval, "'-2'");
+}
+
+TEST(Events, LoadRejectsIdsOutsideTheirType) {
+  // Ids are read into NodeId: 4294967299 is an error, not node 3.
   expect_mentions(
-      load_events_error("wanplace-events v1\ndemand 0 -2 0 1 0\n"),
-      "interval must be >= 0");
+      load_events_error("wanplace-events v1\nleave 4294967299\n"),
+      "events.txt:2: node is not an integer in [-2147483648, 2147483647]: "
+      "'4294967299'");
+  expect_mentions(
+      load_events_error("wanplace-events v1\ndemand 4294967297 0 1 5 0\n"),
+      "events.txt:2: node is not an integer in [-2147483648, 2147483647]: "
+      "'4294967297'");
+}
+
+TEST(Events, LoadStripsInlineComments) {
+  std::istringstream in("wanplace-events v1\nleave 3 # note\n");
+  const auto loaded = load_events(in);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(std::get<NodeLeaveEvent>(loaded[0]).node, 3);
 }
 
 TEST(Demand, AggregationBucketsCorrectly) {

@@ -39,10 +39,10 @@
 //       staleness, rebuild/basis-drop totals).
 //
 // Common options:
-//   --tqos 0.99        QoS target (fraction of reads within the threshold)
+//   --tqos 0.99        QoS target in (0, 1]: fraction of reads within --tlat
 //   --tlat 150         latency threshold in ms (must be > 0)
-//   --intervals 24     evaluation intervals over the trace horizon
-//   --origin 0         node id of the origin/headquarters
+//   --intervals 24     evaluation intervals over the trace horizon (>= 1)
+//   --origin 0         origin/headquarters node id, below the node count
 //   --scope per-user | overall | per-object | per-user-object
 //   --time-limit 10    seconds per LP solve
 //   --solver auto | simplex | dual | pdhg    force the LP solver choice
@@ -62,10 +62,6 @@
 //
 // Every command rejects a flag it does not take ("error: select: unknown
 // flag --tqso"), so a typo never runs silently with the default.
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -88,6 +84,7 @@
 #include "service/daemon.h"
 #include "tree/family.h"
 #include "util/check.h"
+#include "util/line_reader.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -104,29 +101,22 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   // Numeric flags parse the whole token: a typo such as "0.5x" or "abc"
-  // is an error naming the flag, never a silent prefix or a bare "stod".
+  // is an error naming the flag, never a silent prefix.
   double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(value))
-      throw Error("--" + key + ": expected a number, got '" + text + "'");
-    return value;
+    if (!has(key)) return fallback;
+    if (const auto value = parse_number(get(key, ""))) return *value;
+    reject(key, "a number");
   }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE)
-      throw Error("--" + key + ": expected a non-negative integer, got '" +
-                  text + "'");
-    return static_cast<std::size_t>(value);
+    if (!has(key)) return fallback;
+    if (const auto value = parse_integer<std::size_t>(get(key, "")))
+      return *value;
+    reject(key, "a non-negative integer");
+  }
+  [[noreturn]] void reject(const std::string& key,
+                           const std::string& expected) const {
+    throw Error("--" + key + ": expected " + expected + ", got '" +
+                get(key, "") + "'");
   }
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
@@ -225,22 +215,27 @@ Loaded load(const Args& args) {
   loaded.latencies = graph::all_pairs_latencies(loaded.topology);
 
   const auto trace = workload::Trace::load_file(trace_path);
-  WANPLACE_REQUIRE(trace.node_count() == loaded.topology.node_count(),
-                   "trace and topology node counts differ");
+  const std::size_t nodes = loaded.topology.node_count();
+  if (trace.node_count() != nodes)
+    throw Error("trace and topology node counts differ: " + trace_path +
+                " vs " + topology_path);
 
+  // Range checks name the flag before an Instance precondition can fire.
   const double tlat = args.get_double("tlat", 150);
-  if (tlat <= 0)
-    throw Error("--tlat: expected a positive number, got '" +
-                args.get("tlat", "") + "'");
+  if (tlat <= 0) args.reject("tlat", "a positive number");
+  const double tqos = args.get_double("tqos", 0.99);
+  if (!(tqos > 0 && tqos <= 1)) args.reject("tqos", "a number in (0, 1]");
   const auto intervals = args.get_size("intervals", 24);
+  if (intervals < 1) args.reject("intervals", "a positive integer");
+  const auto origin = parse_integer<graph::NodeId>(args.get("origin", "0"));
+  if (!origin || *origin < 0 || static_cast<std::size_t>(*origin) >= nodes)
+    args.reject("origin", "a node id below " + std::to_string(nodes));
   loaded.instance.demand = workload::aggregate(trace, intervals);
   loaded.instance.dist = graph::within_threshold(loaded.latencies, tlat);
   loaded.instance.latencies = loaded.latencies;
-  loaded.instance.goal = mcperf::QosGoal{
-      args.get_double("tqos", 0.99),
-      parse_scope(args.get("scope", "per-user"))};
-  loaded.instance.origin =
-      static_cast<graph::NodeId>(args.get_size("origin", 0));
+  loaded.instance.goal =
+      mcperf::QosGoal{tqos, parse_scope(args.get("scope", "per-user"))};
+  loaded.instance.origin = *origin;
   // Tree topologies get the hierarchical link model (parents, up-link
   // latencies and bandwidth caps) rooted at the origin — required by the
   // closest class and by the per-link capacity rows on capped topologies.
@@ -391,15 +386,14 @@ int cmd_serve(const Args& args) {
   // mutation + model patch + warm re-solve (one publish decision per
   // burst); 1 replays event by event.
   const std::size_t batch_size = args.get_size("batch", 1);
-  WANPLACE_REQUIRE(batch_size >= 1, "--batch needs a positive burst size");
+  if (batch_size < 1) args.reject("batch", "a positive integer");
 
   service::DaemonOptions options;
   options.spec = parse_class(args.get("class", "general"));
   options.bounds = bound_options(args);
   options.policy.min_relative_gain = args.get_double("margin", 0.01);
   if (options.policy.min_relative_gain < 0)
-    throw Error("--margin: expected a non-negative number, got '" +
-                args.get("margin", "") + "'");
+    args.reject("margin", "a non-negative number");
   options.tlat_ms = args.get_double("tlat", 150);
   service::PlacementDaemon daemon(loaded.instance, options);
 
