@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/case_study.h"
+#include "lp/lu.h"
 #include "lp/pdhg.h"
 #include "lp/simplex.h"
 #include "mcperf/builder.h"
@@ -347,7 +348,46 @@ void run_event_replay(::benchmark::State& state) {
 struct Paths {
   bool ft = true;     // Forrest-Tomlin + dynamic Devex (the default)
   bool dense = true;  // the dense inverse is O(m^2)/pivot — cap its size
+  bool factorize = false;  // time refactorizations of the optimal ft basis
 };
+
+/// Median wall time (ms) of kReps factorizations of the basis a solve
+/// exported: the per-factorization figure the bench-smoke gate budgets.
+/// Artificial columns enter as +1 unit columns; their sign cannot change
+/// the sparsity pattern the factorization's cost follows.
+double factorize_ms(const lp::LpModel& model, const lp::BasisSnapshot& basis) {
+  using Entry = lp::BasisLu::Entry;
+  const std::size_t n = model.variable_count();
+  const std::size_t m = model.row_count();
+  std::vector<std::vector<Entry>> structural(n);
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto& row = model.row(r);
+    for (std::size_t t = 0; t < row.cols.size(); ++t)
+      structural[row.cols[t]].push_back(
+          {static_cast<std::uint32_t>(r), row.coeffs[t]});
+  }
+  std::vector<std::vector<Entry>> columns(m);
+  for (std::size_t p = 0; p < m; ++p) {
+    const std::uint32_t j = basis.basis[p];
+    if (j == lp::BasisSnapshot::kArtificialBasic)
+      columns[p] = {{static_cast<std::uint32_t>(p), 1.0}};
+    else if (j < n)
+      columns[p] = structural[j];
+    else
+      columns[p] = {{static_cast<std::uint32_t>(j - n), 1.0}};
+  }
+  constexpr std::size_t kReps = 7;
+  lp::BasisLu lu;
+  std::vector<double> ms;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    Stopwatch watch;
+    if (!lu.factorize(m, columns))
+      return std::numeric_limits<double>::quiet_NaN();
+    ms.push_back(1e3 * watch.elapsed_seconds());
+  }
+  std::nth_element(ms.begin(), ms.begin() + kReps / 2, ms.end());
+  return ms[kReps / 2];
+}
 
 void run_point(::benchmark::State& state, const lp::LpModel& model,
                Paths paths, std::size_t pdhg_iterations,
@@ -356,7 +396,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
   // (reset before each path) rather than the LpSolution fields, so these
   // columns agree with any trace of the same solve by construction.
   double ft_s = 0, ft_obj = 0, dense_s = 0, pdhg_s = 0;
-  double ft_sparse_frac = 0, ft_compressions = 0;
+  double ft_sparse_frac = 0, ft_compressions = 0, lu_ms = 0;
   std::size_t ft_it = 0, re_cold_it = 0, re_warm_it = 0;
   lp::LpSolution pdhg;
   for (auto _ : state) {
@@ -377,6 +417,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
                            bench::metric_sum("simplex.btran.dense");
       ft_sparse_frac = sparse + dense > 0 ? sparse / (sparse + dense) : 0;
       ft_compressions = bench::metric_sum("lu.rfile.compressions");
+      if (paths.factorize) lu_ms = factorize_ms(model, exact.basis);
 
       // Warm-started re-optimization: fix a slice of variables to a bound
       // (the planner-phase-2 / per-class re-solve perturbation shape) and
@@ -431,6 +472,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
                            static_cast<std::size_t>(ft_compressions))
                      : std::string("-"))
       .cell(paths.ft ? format_number(ft_obj, 3) : std::string("-"))
+      .cell(paths.factorize ? format_number(lu_ms, 3) : std::string("-"))
       .cell(paths.dense ? format_number(dense_s, 3) : std::string("-"))
       .cell(pdhg_s, 3)
       .cell(pdhg.dual_bound, 3)
@@ -442,7 +484,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
 
 void register_points() {
   bench::results({"vars", "rows", "ft-s", "ft-it", "ft-us/it", "sparse%",
-                  "rfc", "ft-obj", "dense-s", "pdhg-s",
+                  "rfc", "ft-obj", "lu-ms", "dense-s", "pdhg-s",
                   "pdhg-bound", "rel-gap", "re-cold-it", "re-warm-it"});
   struct Size {
     std::size_t vars, rows;
@@ -472,19 +514,20 @@ void register_points() {
   // The acceptance point for the sparse bases: a >=3000-row MC-PERF LP
   // (3914 rows) solved exactly by the Forrest-Tomlin simplex,
   // cross-checked against PDHG. At tqos=0.9 PDHG converges fully and the
-  // paths agree to <1e-6.
+  // paths agree to <1e-6. Its lu-ms column (median refactorization of the
+  // optimal basis) feeds the bench_smoke per-factorization budget.
   ::benchmark::RegisterBenchmark(
       "lp/mcperf-8x8x60-q90",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.9);
-        run_point(state, model, {true, false}, 2'000'000, 1e-8);
+        run_point(state, model, {true, false, true}, 2'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);
 
   // The daemon's steady state: drift events against the standing q90 model.
-  // Named without the instance tag so the bench_smoke per-pivot gate (which
-  // filters on "mcperf-8x8x60-q90") keeps timing the plain solve only.
+  // Named without the instance tag so the bench_smoke gates (which filter
+  // on "mcperf-8x8x60-q90") keep timing the plain solve only.
   ::benchmark::RegisterBenchmark("lp/event-replay-q90", run_event_replay)
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);

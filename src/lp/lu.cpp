@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
+#include <set>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/stopwatch.h"
 
 namespace wanplace::lp {
 
@@ -53,6 +56,9 @@ bool BasisLu::factorize(std::size_t m,
                         const std::vector<std::vector<Entry>>& columns,
                         double pivot_threshold, UpdateMode) {
   WANPLACE_REQUIRE(columns.size() == m, "basis column count mismatch");
+  // Timed only while metrics are on, so a disabled registry reads no clock.
+  std::optional<Stopwatch> watch;
+  if (obs::metrics_enabled()) watch.emplace();
   pivot_threshold = std::clamp(pivot_threshold, 1e-4, 1.0);
   m_ = m;
   steps_.clear();
@@ -85,18 +91,38 @@ bool BasisLu::factorize(std::size_t m,
     row_count[r] = static_cast<std::uint32_t>(rows[r].size());
   const double abs_tol = 1e-11 * std::max(1.0, max_abs);
 
+  // Active columns ordered by (col_count, column), the Markowitz search's
+  // candidate order. A key packs the count above the column index, so the
+  // set iterates exactly like a stable counting sort by count; pivot
+  // choices (and with them every golden) depend on that order. Every
+  // col_count change of an active column re-keys it, and a pivot column
+  // leaves the index.
+  const auto key = [](std::uint32_t count, std::uint32_t c) {
+    return (std::uint64_t{count} << 32) | c;
+  };
+  std::set<std::uint64_t> order;
+  for (std::uint32_t c = 0; c < m; ++c) order.insert(key(col_count[c], c));
+  const auto set_count = [&](std::uint32_t c, std::uint32_t count) {
+    if (col_active[c] && count != col_count[c]) {
+      auto node = order.extract(key(col_count[c], c));
+      node.value() = key(count, c);
+      order.insert(std::move(node));
+    }
+    col_count[c] = count;
+  };
+
   // Dense workspaces for row combination.
   std::vector<double> work(m, 0.0);
   std::vector<char> mark(m, 0);
   std::vector<std::uint32_t> touched;
-  std::vector<std::uint32_t> buckets;      // columns ordered by active count
-  std::vector<std::uint32_t> bucket_head;  // count -> start offset
-  std::vector<std::uint32_t> cursor;
   // Active (row, value) pairs of the candidate column under examination
   // and of the winning column so far: the compaction scan already finds
   // every value, so the merit loop and the elimination reuse them instead
   // of re-scanning the rows.
   std::vector<Entry> cand_vals, best_vals;
+  // Fresh counts of the columns the search compacted, applied once the walk
+  // over `order` is done so the walk sees the order the step started with.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> recounts;
   // col_rows lists can hold duplicate row indices: exact cancellation drops
   // a row's entry without editing col_rows, and later fill-in re-appends the
   // row. The old elimination skipped the duplicate because its value_at
@@ -118,31 +144,16 @@ bool BasisLu::factorize(std::size_t m,
 
   for (std::size_t step = 0; step < m; ++step) {
     // --- Markowitz pivot search over lowest-count active columns. ---
-    // Counting-sort the active columns by count so candidates come out in
-    // increasing fill-estimate order.
-    bucket_head.assign(m + 2, 0);
-    std::size_t active_cols = 0;
-    for (std::size_t c = 0; c < m; ++c) {
-      if (!col_active[c]) continue;
-      ++bucket_head[col_count[c] + 1];
-      ++active_cols;
-    }
-    if (active_cols == 0) return false;
-    for (std::size_t i = 1; i < bucket_head.size(); ++i)
-      bucket_head[i] += bucket_head[i - 1];
-    buckets.resize(active_cols);
-    cursor.assign(bucket_head.begin(), bucket_head.end() - 1);
-    for (std::size_t c = 0; c < m; ++c)
-      if (col_active[c])
-        buckets[cursor[col_count[c]]++] = static_cast<std::uint32_t>(c);
-
+    if (order.empty()) return false;
     std::uint32_t best_row = 0, best_col = 0;
     double best_value = 0, best_abs = 0;
     double best_merit = std::numeric_limits<double>::infinity();
     bool found = false;
     std::size_t examined = 0;
     best_vals.clear();
-    for (const std::uint32_t c : buckets) {
+    recounts.clear();
+    for (const std::uint64_t k : order) {
+      const auto c = static_cast<std::uint32_t>(k);
       // Compact the column's row list while gathering active values.
       auto& list = col_rows[c];
       std::size_t out = 0;
@@ -157,14 +168,14 @@ bool BasisLu::factorize(std::size_t m,
         colmax = std::max(colmax, std::abs(v));
       }
       list.resize(out);
-      col_count[c] = static_cast<std::uint32_t>(out);
+      recounts.emplace_back(c, static_cast<std::uint32_t>(out));
       if (colmax <= abs_tol) continue;  // numerically nil column
       ++examined;
       for (const Entry& rv : cand_vals) {
         const double v = rv.value;
         if (std::abs(v) < pivot_threshold * colmax) continue;
         const double merit = static_cast<double>(row_count[rv.index] - 1) *
-                             static_cast<double>(col_count[c] - 1);
+                             static_cast<double>(out - 1);
         if (!found || merit < best_merit ||
             (merit == best_merit && std::abs(v) > best_abs)) {
           found = true;
@@ -178,6 +189,7 @@ bool BasisLu::factorize(std::size_t m,
       if (found && best_col == c) best_vals = cand_vals;
       if (found && (best_merit == 0 || examined >= kSearchCap)) break;
     }
+    for (const auto& [c, count] : recounts) set_count(c, count);
     if (!found) return false;  // numerically singular
 
     // --- Eliminate. ---
@@ -186,10 +198,11 @@ bool BasisLu::factorize(std::size_t m,
     st.pivot_col = best_col;
     st.pivot = best_value;
     row_active[best_row] = 0;
+    order.erase(key(col_count[best_col], best_col));
     col_active[best_col] = 0;
     st.u_entries.reserve(rows[best_row].size() - 1);
     for (const Entry& e : rows[best_row]) {
-      if (col_count[e.index] > 0) --col_count[e.index];
+      if (col_count[e.index] > 0) set_count(e.index, col_count[e.index] - 1);
       if (e.index != best_col) st.u_entries.push_back(e);
     }
 
@@ -220,7 +233,7 @@ bool BasisLu::factorize(std::size_t m,
           mark[e.index] = 1;
           touched.push_back(e.index);
           col_rows[e.index].push_back(r);  // fill-in
-          ++col_count[e.index];
+          set_count(e.index, col_count[e.index] + 1);
         }
       }
       auto& row = rows[r];
@@ -229,7 +242,7 @@ bool BasisLu::factorize(std::size_t m,
         if (work[c] != 0) {
           row.push_back({c, work[c]});
         } else if (col_count[c] > 0) {
-          --col_count[c];  // exact cancellation
+          set_count(c, col_count[c] - 1);  // exact cancellation
         }
         mark[c] = 0;
         work[c] = 0;
@@ -246,6 +259,8 @@ bool BasisLu::factorize(std::size_t m,
     std::size_t input_nnz = 0;
     for (const auto& column : columns) input_nnz += column.size();
     obs::counter_add("lu.factorizations");
+    if (watch)
+      obs::histogram_record("lu.factorize_s", watch->elapsed_seconds());
     obs::histogram_record("lu.factor_nnz",
                           static_cast<double>(baseline_nonzeros_));
     // Fill-in of this factorization: factor entries beyond the basis's own.

@@ -115,6 +115,7 @@ class Simplex {
   }
 
   LpSolution run_cold_phases(Stopwatch& watch) {
+    factorize_cold_basis();
     LpSolution solution;
     // Phase 1: drive artificial infeasibility to zero.
     set_phase_costs(/*phase1=*/true);
@@ -169,7 +170,10 @@ class Simplex {
     dual_mode_ = true;
     ++dual_solves_;
     const bool warm = import_warm_start();
-    if (!warm) pin_artificials();
+    if (!warm) {
+      factorize_cold_basis();
+      pin_artificials();
+    }
     set_phase_costs(/*phase1=*/false);
     refresh_incremental_state();
     dual_shifted_ = false;
@@ -550,8 +554,14 @@ class Simplex {
         if (dense_basis()) binv_[r * m_ + r] = cols_.art_sign[r];
       }
     }
-    if (!dense_basis()) factorize_lu();
     cost_.assign(total, 0.0);
+  }
+
+  /// Factorize the slack/artificial basis build() set up. Only a cold start
+  /// pays for this: a warm start factorizes the snapshot's basis instead,
+  /// so build() leaves the LU alone. (The dense inverse is already set.)
+  void factorize_cold_basis() {
+    if (!dense_basis()) factorize_lu();
   }
 
   void set_phase_costs(bool phase1) {
@@ -858,7 +868,8 @@ class Simplex {
   /// the basis is factorized and the basic values recomputed under the
   /// *current* model's bounds. On any failure (no/empty snapshot, shape
   /// mismatch, dense basis, singular for this model) the solver state is
-  /// left ready for a cold start and false is returned.
+  /// left as build() set it up and false is returned; the cold start then
+  /// factorizes that basis.
   bool import_warm_start() {
     const BasisSnapshot* snap = options_.warm_start;
     if (snap == nullptr || snap->empty() || dense_basis()) return false;

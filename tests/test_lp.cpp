@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -332,6 +334,83 @@ TEST(LuBasisFt, LongUpdateSequenceTracksFillAndStaysAccurate) {
   EXPECT_EQ(lu.update_count(), applied);
   EXPECT_GE(applied, 38u);  // random replacements virtually never refused
   EXPECT_GT(lu.r_nonzeros(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// LU pivot-order goldens. The Markowitz search visits candidate columns by
+// active count, then column index, and that order decides every pivot. A
+// different order gives an equally valid factorization that differs only in
+// the last bits of its solves, so these pin factor_nonzeros() and the exact
+// bits of one FTRAN and one BTRAN per basis.
+
+/// FNV-1a over the bit patterns of x: pins every entry bitwise.
+std::uint64_t bits_digest(const std::vector<double>& x) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double v : x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+/// Seeded sparse basis: the diagonal plus off-diagonal entries at the given
+/// density, all drawn from {±0.5, ±1, ±2}. Dyadic values make exact
+/// cancellation during elimination common.
+LuColumns dyadic_basis_columns(Rng& rng, std::size_t m, double density) {
+  static constexpr double kValues[] = {-2, -1, -0.5, 0.5, 1, 2};
+  LuColumns columns(m);
+  for (std::size_t p = 0; p < m; ++p)
+    for (std::size_t r = 0; r < m; ++r)
+      if (r == p || rng.bernoulli(density))
+        columns[p].push_back({static_cast<std::uint32_t>(r),
+                              kValues[rng.uniform_index(6)]});
+  return columns;
+}
+
+void expect_lu_golden(const LuColumns& columns, std::size_t nonzeros,
+                      std::uint64_t ftran_digest, std::uint64_t btran_digest) {
+  const std::size_t m = columns.size();
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(m, columns));
+  EXPECT_EQ(lu.factor_nonzeros(), nonzeros);
+  std::vector<double> rhs(m);
+  for (std::size_t i = 0; i < m; ++i)
+    rhs[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
+  auto x = rhs;
+  lu.ftran(x);
+  EXPECT_EQ(bits_digest(x), ftran_digest);
+  auto y = rhs;
+  lu.btran(y);
+  EXPECT_EQ(bits_digest(y), btran_digest);
+}
+
+TEST(LuGolden, HeavyFillPivotOrder) {
+  // 40 rows at 15% density: elimination more than doubles the nonzeros.
+  Rng rng(1);
+  expect_lu_golden(random_basis_columns(rng, 40), 568, 0x7c759340905b7cabULL,
+                   0xf30992edb89dd210ULL);
+}
+
+TEST(LuGolden, CancelThenRefillPivotOrder) {
+  // Seed 49 cancels an entry exactly and later fills the same (row,
+  // column) in again before the search compacts that column, so the
+  // column's row list holds the row twice and its next count is inflated.
+  // The search's recount then differs from the stored count, so this basis
+  // also pins when recounts take effect.
+  Rng rng(49);
+  expect_lu_golden(dyadic_basis_columns(rng, 48, 3.0 / 48), 316,
+                   0x23685ede6c7479dbULL, 0x57be93ca8776bd43ULL);
+}
+
+TEST(LuGolden, TwoRefillsPivotOrder) {
+  // Seed 131 takes the cancel-then-refill path twice.
+  Rng rng(131);
+  expect_lu_golden(dyadic_basis_columns(rng, 48, 3.0 / 48), 376,
+                   0x1aa1ea1e291d0fd7ULL, 0xbc6ae8379768d4a0ULL);
 }
 
 // ---------------------------------------------------------------------------

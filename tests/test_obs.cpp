@@ -11,6 +11,7 @@
 #include "bounds/engine.h"
 #include "core/selector.h"
 #include "instance_helpers.h"
+#include "lp/lu.h"
 #include "lp/pdhg.h"
 #include "lp/simplex.h"
 #include "mcperf/builder.h"
@@ -328,6 +329,106 @@ TEST(ObsReport, ShadowPricesMapToQosRows) {
   const std::string text = obs::to_string(report);
   EXPECT_TRUE(contains(text, "shadow price"));
   EXPECT_TRUE(contains(text, "general"));
+}
+
+// lu.factorize_s times every successful factorization, and only while the
+// registry is on: a disabled registry must not even read the clock.
+TEST(ObsLu, FactorizeTimeRecordedOnlyWithMetricsOn) {
+  const std::vector<std::vector<lp::BasisLu::Entry>> columns = {
+      {{0, 2.0}, {1, 1.0}}, {{1, 3.0}}};
+  lp::BasisLu lu;
+  TelemetryScope scope;
+  obs::Registry::global().enable(false);
+  ASSERT_TRUE(lu.factorize(2, columns));
+  obs::Registry::global().enable(true);
+  const auto off = obs::Registry::global().snapshot();
+  EXPECT_TRUE(off.count("lu.factorize_s") == 0 ||
+              off.at("lu.factorize_s").count == 0);
+
+  ASSERT_TRUE(lu.factorize(2, columns));
+  const auto on = obs::Registry::global().snapshot();
+  const auto& time = on.at("lu.factorize_s");
+  EXPECT_EQ(time.kind, obs::MetricValue::Kind::Histogram);
+  EXPECT_EQ(time.count, 1u);
+  EXPECT_GE(time.sum, 0.0);
+  EXPECT_EQ(on.at("lu.factorizations").sum, 1.0);
+}
+
+/// One simplex solve with the registry on, plus the lu.factorizations it
+/// recorded.
+struct CountedSolve {
+  lp::LpSolution solution;
+  double factorizations = 0;
+};
+
+CountedSolve solve_counted(const lp::LpModel& model,
+                           const lp::SimplexOptions& options) {
+  TelemetryScope scope;
+  CountedSolve out;
+  out.solution = lp::solve_simplex(model, options);
+  out.factorizations =
+      obs::Registry::global().snapshot().at("lu.factorizations").sum;
+  return out;
+}
+
+/// Factorizations beyond the solve's refactorizations.
+double starting_factorizations(const CountedSolve& run) {
+  return run.factorizations -
+         static_cast<double>(run.solution.refactorizations);
+}
+
+// A solve factorizes its starting basis once, then once per
+// refactorization. A warm start factorizes only the snapshot's basis; the
+// slack basis is factorized only when the solve starts (or restarts) cold.
+TEST(ObsLu, WarmStartFactorizesOnlyTheSnapshotBasis) {
+  const auto instance = test::random_instance(11);
+  const auto built = mcperf::build_lp(instance, mcperf::classes::general());
+  const auto first = solve_counted(built.model, {});
+  ASSERT_EQ(first.solution.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(starting_factorizations(first), 1.0);
+
+  // Tighten the upper bound of some variables the optimum uses: the old
+  // basic point turns primal infeasible, the model stays feasible.
+  auto perturbed = built.model;
+  std::size_t used = 0;
+  for (std::size_t j = 0; j < perturbed.variable_count(); ++j) {
+    const double x = first.solution.x[j];
+    if (x > perturbed.lower(j) + 1e-6 && used++ % 16 == 0)
+      perturbed.set_bounds(j, perturbed.lower(j), (perturbed.lower(j) + x) / 2);
+  }
+  const auto cold = solve_counted(perturbed, {});
+  ASSERT_EQ(cold.solution.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(starting_factorizations(cold), 1.0);
+
+  lp::SimplexOptions warm;
+  warm.method = lp::SimplexOptions::Method::Dual;
+  warm.warm_start = &first.solution.basis;
+  const auto dual = solve_counted(perturbed, warm);
+  ASSERT_EQ(dual.solution.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(starting_factorizations(dual), 1.0);
+  EXPECT_NEAR(dual.solution.objective, cold.solution.objective, 1e-7);
+
+  // Same basis, primal method: the tightened bounds leave the imported
+  // point infeasible, so the solve restarts cold and factorizes the slack
+  // basis after the snapshot's.
+  lp::SimplexOptions restart;
+  restart.warm_start = &first.solution.basis;
+  const auto primal = solve_counted(perturbed, restart);
+  ASSERT_EQ(primal.solution.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(starting_factorizations(primal), 2.0);
+  EXPECT_NEAR(primal.solution.objective, cold.solution.objective, 1e-7);
+
+  // A snapshot of another shape is ignored: a plain cold start.
+  lp::LpModel other;
+  other.add_variable(0, 1, 1);
+  other.add_row(lp::RowType::Ge, 1, {std::size_t{0}}, {1.0});
+  const auto other_solution = lp::solve_simplex(other);
+  lp::SimplexOptions mismatched = warm;
+  mismatched.warm_start = &other_solution.basis;
+  const auto ignored = solve_counted(perturbed, mismatched);
+  ASSERT_EQ(ignored.solution.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(starting_factorizations(ignored), 1.0);
+  EXPECT_NEAR(ignored.solution.objective, cold.solution.objective, 1e-7);
 }
 
 TEST(ObsDifferential, SimplexBitIdenticalWithTelemetry) {
