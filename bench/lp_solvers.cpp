@@ -396,7 +396,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
   // (reset before each path) rather than the LpSolution fields, so these
   // columns agree with any trace of the same solve by construction.
   double ft_s = 0, ft_obj = 0, dense_s = 0, pdhg_s = 0;
-  double ft_sparse_frac = 0, ft_compressions = 0, lu_ms = 0;
+  double ft_sparse_frac = 0, lu_ms = 0;
   std::size_t ft_it = 0, re_cold_it = 0, re_warm_it = 0;
   lp::LpSolution pdhg;
   for (auto _ : state) {
@@ -409,14 +409,12 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
       ft_it = static_cast<std::size_t>(
           bench::metric_sum("simplex.iterations"));
       // Kernel split for the same solve (read before the next reset): the
-      // fraction of FTRAN/BTRAN solves that took the hyper-sparse path,
-      // and how many times the R-file was folded back into U in place.
+      // fraction of FTRAN/BTRAN solves that took the hyper-sparse path.
       const double sparse = bench::metric_sum("simplex.ftran.sparse") +
                             bench::metric_sum("simplex.btran.sparse");
       const double dense = bench::metric_sum("simplex.ftran.dense") +
                            bench::metric_sum("simplex.btran.dense");
       ft_sparse_frac = sparse + dense > 0 ? sparse / (sparse + dense) : 0;
-      ft_compressions = bench::metric_sum("lu.rfile.compressions");
       if (paths.factorize) lu_ms = factorize_ms(model, exact.basis);
 
       // Warm-started re-optimization: fix a slice of variables to a bound
@@ -468,9 +466,6 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
                 : std::string("-"))
       .cell(paths.ft ? format_number(100 * ft_sparse_frac, 1)
                      : std::string("-"))
-      .cell(paths.ft ? std::to_string(
-                           static_cast<std::size_t>(ft_compressions))
-                     : std::string("-"))
       .cell(paths.ft ? format_number(ft_obj, 3) : std::string("-"))
       .cell(paths.factorize ? format_number(lu_ms, 3) : std::string("-"))
       .cell(paths.dense ? format_number(dense_s, 3) : std::string("-"))
@@ -484,8 +479,8 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
 
 void register_points() {
   bench::results({"vars", "rows", "ft-s", "ft-it", "ft-us/it", "sparse%",
-                  "rfc", "ft-obj", "lu-ms", "dense-s", "pdhg-s",
-                  "pdhg-bound", "rel-gap", "re-cold-it", "re-warm-it"});
+                  "ft-obj", "lu-ms", "dense-s", "pdhg-s", "pdhg-bound",
+                  "rel-gap", "re-cold-it", "re-warm-it"});
   struct Size {
     std::size_t vars, rows;
     Paths paths;

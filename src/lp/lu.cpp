@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <set>
 #include <utility>
 
@@ -27,11 +26,6 @@ constexpr std::size_t kSearchCap = 16;
 /// roundoff on every later solve. 1e-10 rejects genuinely collapsing pivots
 /// while tolerating the poor scaling adversarial near-singular bases show.
 constexpr double kFtRelativeStability = 1e-10;
-
-/// Fill cap for compress_rfile: abort (and let the caller refactorize)
-/// when the staged working rows grow past this multiple of the dimension —
-/// a fold that dense is cheaper to refactorize away than to keep.
-constexpr std::size_t kCompressFillFactor = 8;
 
 /// x[e.index] -= e.value * z over an entry list — the scatter kernel every
 /// dense triangular pass spends its time in. 4-way unrolled: the indices
@@ -824,216 +818,6 @@ bool BasisLu::btran_sparse(std::vector<double>& x,
   for (const std::uint32_t r : pattern) {
     x[r] = result_[r];
     result_[r] = 0.0;
-  }
-  return true;
-}
-
-bool BasisLu::compress_rfile(double min_pivot) {
-  if (retas_.empty()) return true;
-  const std::size_t entry_cap = kCompressFillFactor * m_ + 64;
-
-  // --- Stage 1: fold the R-file into U, newest eta first. With
-  // B = L E_1^{-1} ... E_k^{-1} U and E^{-1} = I + e_row v^T, the folded
-  // factor is U_fold = E_1^{-1}(...(E_k^{-1} U)) — row by row:
-  // row(eta.row) += sum_j eta.value_j * row(eta.index_j), each source read
-  // in its current folded state. Everything is staged per touched slot
-  // (entries include the diagonal at this stage) so an abort leaves the
-  // factorization untouched.
-  std::vector<std::uint32_t> staged_of(m_, kNoSlot);
-  std::vector<std::uint32_t> staged_slots;
-  std::vector<std::vector<Entry>> staged_rows;
-  std::vector<double> staged_diag;
-  std::vector<char> staged_final;  // re-triangularized already?
-  std::size_t staged_entries = 0;
-  const auto stage_index = [&](std::uint32_t s) -> std::uint32_t {
-    if (staged_of[s] == kNoSlot) {
-      staged_of[s] = static_cast<std::uint32_t>(staged_slots.size());
-      staged_slots.push_back(s);
-      std::vector<Entry> row = u_rows_[s];
-      row.push_back({u_pos_[s], u_pivot_[s]});
-      staged_entries += row.size();
-      staged_rows.push_back(std::move(row));
-      staged_diag.push_back(0.0);
-      staged_final.push_back(0);
-    }
-    return staged_of[s];
-  };
-
-  std::vector<double> work(m_, 0.0);
-  std::vector<char> mark(m_, 0);
-  std::vector<std::uint32_t> touched;
-  for (auto it = retas_.rbegin(); it != retas_.rend(); ++it) {
-    const std::uint32_t target_index = stage_index(slot_of_row_[it->row]);
-    touched.clear();
-    for (const Entry& e : staged_rows[target_index]) {
-      work[e.index] = e.value;
-      mark[e.index] = 1;
-      touched.push_back(e.index);
-    }
-    for (std::uint32_t fi = it->begin; fi < it->end; ++fi) {
-      const Entry& fe = reta_pool_[fi];
-      const std::uint32_t ss = slot_of_row_[fe.index];
-      const double f = fe.value;
-      const auto fold_entry = [&](std::uint32_t p, double v) {
-        if (!mark[p]) {
-          mark[p] = 1;
-          work[p] = 0.0;
-          touched.push_back(p);
-        }
-        work[p] += f * v;
-      };
-      if (staged_of[ss] != kNoSlot) {
-        for (const Entry& e : staged_rows[staged_of[ss]])
-          fold_entry(e.index, e.value);
-      } else {
-        for (const Entry& e : u_rows_[ss]) fold_entry(e.index, e.value);
-        fold_entry(u_pos_[ss], u_pivot_[ss]);
-      }
-    }
-    auto& row = staged_rows[target_index];
-    staged_entries -= row.size();
-    row.clear();
-    for (const std::uint32_t p : touched) {
-      if (work[p] != 0) row.push_back({p, work[p]});
-      work[p] = 0.0;
-      mark[p] = 0;
-    }
-    staged_entries += row.size();
-    if (staged_entries > entry_cap) {
-      if (obs::metrics_enabled())
-        obs::counter_add("lu.rfile.compress_failed");
-      return false;
-    }
-  }
-
-  // --- Stage 2: re-triangularize the touched rows in ascending pivot
-  // order. Eliminating against earlier rows always reads their *final*
-  // form — untouched rows are final already, and touched rows earlier in
-  // the order were processed first — so U_fold = F_1 F_2 ... U'' with the
-  // F factors ordered by pivot order ascending, which is exactly the
-  // oldest-first application order the FTRAN R pass expects.
-  std::sort(staged_slots.begin(), staged_slots.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return order_key_[a] < order_key_[b];
-            });
-  std::vector<RowEta> new_etas;
-  std::size_t new_r_nonzeros = 0;
-  using HeapItem = std::pair<std::uint64_t, std::uint32_t>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<HeapItem>>
-      heap;
-  std::vector<Entry> new_row;
-  for (const std::uint32_t ts : staged_slots) {
-    const std::uint32_t ti = staged_of[ts];
-    const std::uint64_t my_key = order_key_[ts];
-    touched.clear();
-    for (const Entry& e : staged_rows[ti]) {
-      work[e.index] = e.value;
-      mark[e.index] = 1;
-      touched.push_back(e.index);
-      const std::uint32_t s2 = slot_of_pos_[e.index];
-      if (order_key_[s2] < my_key) heap.push({order_key_[s2], s2});
-    }
-    RowEta eta;
-    eta.row = u_row_[ts];
-    bool overflow = false;
-    while (!heap.empty()) {
-      const std::uint32_t s2 = heap.top().second;
-      heap.pop();
-      const double v = work[u_pos_[s2]];
-      if (v == 0) continue;  // exact cancellation
-      work[u_pos_[s2]] = 0.0;
-      const std::uint32_t si = staged_of[s2];
-      const double d2 = si != kNoSlot && staged_final[si]
-                            ? staged_diag[si]
-                            : u_pivot_[s2];
-      const double mult = v / d2;
-      eta.entries.push_back({u_row_[s2], mult});
-      const auto eliminate = [&](std::uint32_t p, double val) {
-        if (!mark[p]) {
-          mark[p] = 1;
-          work[p] = 0.0;
-          touched.push_back(p);
-          const std::uint32_t s3 = slot_of_pos_[p];
-          if (order_key_[s3] < my_key) heap.push({order_key_[s3], s3});
-        }
-        work[p] -= mult * val;
-      };
-      if (si != kNoSlot && staged_final[si]) {
-        for (const Entry& e : staged_rows[si]) eliminate(e.index, e.value);
-      } else {
-        for (const Entry& e : u_rows_[s2]) eliminate(e.index, e.value);
-      }
-      if (touched.size() > entry_cap) {
-        overflow = true;
-        break;
-      }
-    }
-    if (overflow) {
-      while (!heap.empty()) heap.pop();
-      for (const std::uint32_t p : touched) {
-        work[p] = 0.0;
-        mark[p] = 0;
-      }
-      if (obs::metrics_enabled())
-        obs::counter_add("lu.rfile.compress_failed");
-      return false;
-    }
-    const double new_diag = work[u_pos_[ts]];
-    double row_max = std::abs(new_diag);
-    new_row.clear();
-    for (const std::uint32_t p : touched) {
-      if (p != u_pos_[ts] && work[p] != 0) {
-        new_row.push_back({p, work[p]});
-        row_max = std::max(row_max, std::abs(work[p]));
-      }
-      work[p] = 0.0;
-      mark[p] = 0;
-    }
-    if (!(std::abs(new_diag) > min_pivot) ||
-        std::abs(new_diag) < kFtRelativeStability * row_max) {
-      if (obs::metrics_enabled())
-        obs::counter_add("lu.rfile.compress_failed");
-      return false;
-    }
-    staged_rows[ti] = new_row;
-    staged_diag[ti] = new_diag;
-    staged_final[ti] = 1;
-    if (!eta.entries.empty()) {
-      new_r_nonzeros += eta.entries.size();
-      new_etas.push_back(std::move(eta));
-    }
-  }
-
-  // --- Stage 3: commit.
-  const std::size_t entries_before = r_nonzeros_;
-  for (const std::uint32_t ts : staged_slots) {
-    const std::uint32_t ti = staged_of[ts];
-    u_nonzeros_ -= u_rows_[ts].size();
-    u_rows_[ts] = std::move(staged_rows[ti]);
-    u_nonzeros_ += u_rows_[ts].size();
-    u_pivot_[ts] = staged_diag[ti];
-    // Occupancy lists stay lazy supersets: duplicates are tolerated by
-    // every consumer (update()'s removal scan and the stamped closures).
-    for (const Entry& e : u_rows_[ts]) col_slots_[e.index].push_back(ts);
-  }
-  retas_.clear();
-  reta_pool_.clear();
-  for (const RowEta& eta : new_etas) {
-    RetaSpan span;
-    span.row = eta.row;
-    span.begin = static_cast<std::uint32_t>(reta_pool_.size());
-    reta_pool_.insert(reta_pool_.end(), eta.entries.begin(),
-                      eta.entries.end());
-    span.end = static_cast<std::uint32_t>(reta_pool_.size());
-    retas_.push_back(span);
-  }
-  r_nonzeros_ = new_r_nonzeros;
-  if (obs::metrics_enabled()) {
-    obs::counter_add("lu.rfile.compressions");
-    obs::histogram_record("lu.rfile.entries_before",
-                          static_cast<double>(entries_before));
-    obs::histogram_record("lu.rfile.entries_after",
-                          static_cast<double>(r_nonzeros_));
   }
   return true;
 }

@@ -39,16 +39,6 @@
 // caller's density threshold the remaining stages finish on the dense code
 // path, so the crossover costs nothing beyond the symbolic work already
 // done.
-//
-// R-file compression: long Forrest–Tomlin runs accumulate row etas that
-// every FTRAN/BTRAN replays. compress_rfile() folds the whole R-file back
-// into U in one pass (formally: U_fold = E_1^{-1}···E_k^{-1} U applied
-// newest first) and re-triangularizes the touched rows against the current
-// pivot order; the elimination multipliers become a fresh, much shorter
-// R-file (at most one eta per touched row). The fold is staged and only
-// committed when every re-triangularized diagonal passes the same style of
-// absolute + relative stability guard as update(), so a failed compression
-// leaves the factorization untouched and the caller refactorizes instead.
 #pragma once
 
 #include <cstddef>
@@ -117,17 +107,6 @@ class BasisLu {
                     std::vector<std::uint32_t>& pattern,
                     double density_threshold) const;
 
-  /// Fold the accumulated R-file back into U and re-triangularize the
-  /// touched rows against the current pivot order, replacing the R-file
-  /// with the (much shorter) elimination multipliers — the cheap
-  /// alternative to a full refactorization when only the R-file has grown.
-  /// All work is staged: returns false, leaving the factorization
-  /// unchanged, when a re-triangularized diagonal fails the absolute
-  /// (min_pivot) or relative stability guard, or the fold fills in
-  /// pathologically; the caller should refactorize then. A no-op success
-  /// with an empty R-file.
-  bool compress_rfile(double min_pivot);
-
   /// Absorb a basis change: the column at `position` was replaced by the
   /// column a whose ftran() (or ftran_sparse()) ran last — the update
   /// consumes the spike that solve stashed. Returns false, leaving the
@@ -147,8 +126,6 @@ class BasisLu {
   std::size_t baseline_nonzeros() const { return baseline_nonzeros_; }
   /// Total entries across the Forrest–Tomlin R-file.
   std::size_t r_nonzeros() const { return r_nonzeros_; }
-  /// Row etas currently in the Forrest–Tomlin R-file.
-  std::size_t rfile_etas() const { return retas_.size(); }
 
  private:
   /// One elimination step: pivot at (pivot_row, pivot_col), below-pivot
@@ -166,7 +143,7 @@ class BasisLu {
   /// Forrest–Tomlin row eta: one combined row operation
   /// x[row] -= sum_j entries[j].value * x[entries[j].index], all indices in
   /// constraint-row space (stable across later cyclic permutations).
-  /// Staging form used while an update/compression builds an eta; the live
+  /// Staging form used while an update builds an eta; the live
   /// R-file stores spans into the contiguous reta_pool_ arena instead so
   /// the per-solve R passes stream memory.
   struct RowEta {
@@ -180,8 +157,6 @@ class BasisLu {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
   };
-
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   void build_ft_structure();
   const Entry* l_begin(std::size_t t) const { return l_pool_.data() + l_off_[t]; }

@@ -248,7 +248,6 @@ class Simplex {
     Fill,              // FT fill guard (factor + R-file grew too dense)
     SingularRollback,  // post-pivot factorization failed; pivot rolled back
     Bland,             // entering Bland mode wants exact reduced costs
-    CompressFailed,    // R-file fold-back refused; refactorized instead
     kCount
   };
 
@@ -270,8 +269,7 @@ class Simplex {
         "simplex.refactor.certify",    "simplex.refactor.drift",
         "simplex.refactor.agreement",  "simplex.refactor.ft_refused",
         "simplex.refactor.period",     "simplex.refactor.fill",
-        "simplex.refactor.singular_rollback", "simplex.refactor.bland",
-        "simplex.refactor.compress_failed"};
+        "simplex.refactor.singular_rollback", "simplex.refactor.bland"};
     static_assert(std::size(kCauseNames) ==
                   static_cast<std::size_t>(RefactorCause::kCount));
     for (std::size_t c = 0; c < std::size(kCauseNames); ++c)
@@ -351,95 +349,9 @@ class Simplex {
       cause = RefactorCause::Period;
       return true;
     }
-    if (!maybe_compress_rfile()) {
-      cause = RefactorCause::CompressFailed;
-      return true;
-    }
     cause = RefactorCause::Fill;
     return lu_.factor_nonzeros() + lu_.r_nonzeros() >
            options_.ft_fill_factor * lu_.baseline_nonzeros() + 64;
-  }
-
-  /// R-file entry count at which a fold-back compression is attempted.
-  /// Automatic mode engages only on models of at least 512 rows: below
-  /// that a refactorization is cheap, the R-file cannot grow large enough
-  /// for the fold to pay, and the fold's roundoff perturbation would
-  /// shift small-model pivot sequences (the golden iteration pins).
-  std::size_t effective_compress_threshold() const {
-    if (options_.rfile_compress_threshold > 0)
-      return options_.rfile_compress_threshold;
-    if (m_ < 512) return SIZE_MAX;
-    return std::max<std::size_t>(256, m_ / 4);
-  }
-
-  /// Try folding the R-file back into U before the fill guard runs: a
-  /// successful fold absorbs the aged etas for a fraction of a
-  /// refactorization's cost. Returns false when the fold was attempted
-  /// and refused (overflow or a stability guard) — then the R-file is
-  /// oversized and unfoldable, and the only way to shrink it is a real
-  /// refactorization.
-  ///
-  /// Hysteresis: etas whose target rows are still below the diagonal
-  /// legitimately survive a fold, so the file does not shrink to zero and
-  /// a bare `entries >= threshold` trigger would re-run the fold on every
-  /// subsequent pivot. `rfile_compress_at_` is the length at which the
-  /// next fold is attempted — re-based a full threshold above what the
-  /// last fold could not absorb, and pushed out entirely (until the next
-  /// refactorization starts a fresh file) when a fold absorbed less than
-  /// half a threshold: on fill-heavy bases where nothing ages out,
-  /// folding cannot pay and the fill guard is the right tool.
-  bool maybe_compress_rfile() {
-    const std::size_t threshold = effective_compress_threshold();
-    const std::size_t entries = lu_.r_nonzeros();
-    if (entries < threshold) {
-      rfile_compress_at_ = threshold;  // fresh file: re-arm
-      return true;
-    }
-    if (entries < rfile_compress_at_) return true;
-    // Automatic mode folds only while the kernels still see a sparse
-    // regime. When both gates are in dense backoff the basis is
-    // fill-heavy: folds there absorb next to nothing (the etas re-emerge
-    // below the diagonal), occasionally hit a stability refusal that
-    // forces a refactorization, and perturb the trajectory for no return
-    // — the fill guard is the right tool on such bases. An explicit
-    // rfile_compress_threshold still folds unconditionally.
-    if (options_.rfile_compress_threshold == 0 &&
-        ftran_gate_.bail_streak >= kSparseBailStreak &&
-        btran_gate_.bail_streak >= kSparseBailStreak) {
-      rfile_compress_at_ = SIZE_MAX;  // until the next refactorization
-      return true;
-    }
-    // Unprofitability persists across refactorization epochs: the implicit
-    // re-arm above would otherwise buy one wasted fold (and the occasional
-    // stability refusal) per epoch on a basis whose character does not
-    // change between refactorizations. After kRfileUnprofitableCap
-    // consecutive dud folds, automatic mode stops folding and only probes
-    // again every kRfileProbeEpochs refactorizations (reset logic lives in
-    // refactorize()) in case the basis turned sparse.
-    if (options_.rfile_compress_threshold == 0 &&
-        rfile_unprofitable_ >= kRfileUnprofitableCap) {
-      rfile_compress_at_ = SIZE_MAX;
-      return true;
-    }
-    if (!lu_.compress_rfile(1e-9)) {
-      // A stability refusal costs a full refactorization — saturate the
-      // backoff instead of waiting for a second strike.
-      if (options_.rfile_compress_threshold == 0)
-        rfile_unprofitable_ = kRfileUnprofitableCap;
-      return false;
-    }
-    const std::size_t after = lu_.r_nonzeros();
-    const bool unprofitable = after + threshold / 2 > entries;
-    rfile_compress_at_ = unprofitable ? SIZE_MAX : after + threshold;
-    if (options_.rfile_compress_threshold == 0) {
-      if (unprofitable) {
-        ++rfile_unprofitable_;
-      } else {
-        rfile_unprofitable_ = 0;
-        rfile_probe_epochs_ = 0;
-      }
-    }
-    return true;
   }
 
   void build() {
@@ -780,13 +692,6 @@ class Simplex {
     // sparse kernels get an immediate retry regardless of prior bails.
     ftran_gate_ = SparseGate{};
     btran_gate_ = SparseGate{};
-    // Fold backoff probe: after folding was declared unprofitable, allow
-    // one fresh attempt every kRfileProbeEpochs epochs.
-    if (rfile_unprofitable_ >= kRfileUnprofitableCap &&
-        ++rfile_probe_epochs_ >= kRfileProbeEpochs) {
-      rfile_unprofitable_ = 0;
-      rfile_probe_epochs_ = 0;
-    }
     if (!dense_basis()) {
       factorize_lu();
       recompute_basic_values();
@@ -1935,17 +1840,6 @@ class Simplex {
   std::size_t btran_dense_ = 0;
   SparseGate ftran_gate_;
   SparseGate btran_gate_;
-  /// R-file length at which the next fold-back compression fires
-  /// (see maybe_compress_rfile's hysteresis).
-  std::size_t rfile_compress_at_ = 0;
-  /// Consecutive automatic-mode folds that absorbed less than half a
-  /// threshold (or were refused outright). At kRfileUnprofitableCap the
-  /// automatic mode stops folding; every kRfileProbeEpochs
-  /// refactorizations it probes again in case the basis turned sparse.
-  unsigned rfile_unprofitable_ = 0;
-  unsigned rfile_probe_epochs_ = 0;
-  static constexpr unsigned kRfileUnprofitableCap = 2;
-  static constexpr unsigned kRfileProbeEpochs = 8;
 };
 
 }  // namespace

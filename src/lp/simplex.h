@@ -115,14 +115,6 @@ struct SimplexOptions {
   /// whenever the pattern allows. Both paths compute bit-identical
   /// nonzero values, so this knob trades time only, never answers.
   double sparse_density_threshold = 0.1;
-  /// ForrestTomlin only: when the R-file reaches this many entries, fold
-  /// the accumulated row etas back into U in place (lu.h compress_rfile)
-  /// instead of paying a full refactorization. 0 = automatic: max(256,
-  /// rows/4), engaged only on models of at least 512 rows (below that a
-  /// refactorization is cheap and the fold's roundoff perturbation would
-  /// shift small-model pivot sequences). A failed or numerically refused
-  /// compression falls back to refactorization.
-  std::size_t rfile_compress_threshold = 0;
 
   /// Worker threads for the dynamic-Devex pivot-row pass: 0 = hardware
   /// concurrency, 1 = fully serial (default). Only engages on models with

@@ -252,7 +252,7 @@ std::string Tracer::summary() const {
     }
   };
   static constexpr const char* kKernelPrefixes[] = {
-      "simplex.ftran", "simplex.btran", "simplex.rhs_density", "lu.rfile"};
+      "simplex.ftran", "simplex.btran", "simplex.rhs_density"};
   write_section("kernel metrics", [](const std::string& name) {
     for (const char* prefix : kKernelPrefixes)
       if (name.rfind(prefix, 0) == 0) return true;

@@ -158,7 +158,7 @@ TEST(ObsExport, ParseFormatRoundTrips) {
 
 TEST(ObsExport, PrometheusNamesAreLegal) {
   EXPECT_EQ(obs::prometheus_name("service.regret.rel"), "service_regret_rel");
-  EXPECT_EQ(obs::prometheus_name("lu.rfile-hits"), "lu_rfile_hits");
+  EXPECT_EQ(obs::prometheus_name("lu.eta-hits"), "lu_eta_hits");
   EXPECT_EQ(obs::prometheus_name("9lives"), "_lives");  // no leading digit
   EXPECT_EQ(obs::prometheus_name("ok_name:x9"), "ok_name:x9");
 }

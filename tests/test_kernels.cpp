@@ -1,4 +1,4 @@
-// Hyper-sparse FTRAN/BTRAN kernels and R-file compression (lp/lu.h)
+// Hyper-sparse FTRAN/BTRAN kernels (lp/lu.h)
 // against the dense scatter paths and fresh factorizations, plus
 // solver-level equivalence of the sparse kernel plumbing in
 // lp/simplex.cpp: the sparse paths are designed to perform identical
@@ -233,74 +233,6 @@ TEST(LuKernel, SparseSpikeStashFeedsUpdate) {
   }
 }
 
-TEST(LuKernel, CompressRfileFoldsEtasIntoU) {
-  // Compression folds the R-file into U and re-triangularizes the touched
-  // rows. Etas whose referenced rows still sit below their target in
-  // pivot order legitimately re-emerge from the re-triangularization, so
-  // the file need not empty — but it can never gain etas (at most one new
-  // eta per distinct target row), and the operator must be preserved.
-  Rng rng(106);
-  for (int trial = 0; trial < 15; ++trial) {
-    const std::size_t m = 20 + rng.uniform_index(40);
-    BasisLu lu;
-    LuColumns columns;
-    make_updated_ft_basis(rng, m, 6 + rng.uniform_index(6), lu, columns);
-    if (lu.rfile_etas() == 0) continue;
-    const std::size_t etas_before = lu.rfile_etas();
-
-    std::vector<double> rhs(m);
-    for (auto& v : rhs) v = rng.uniform(-2, 2);
-    auto before_f = rhs, before_b = rhs;
-    lu.ftran(before_f);
-    lu.btran(before_b);
-
-    ASSERT_TRUE(lu.compress_rfile(1e-9)) << "trial " << trial;
-    EXPECT_LE(lu.rfile_etas(), etas_before);
-
-    auto after_f = rhs, after_b = rhs;
-    lu.ftran(after_f);
-    lu.btran(after_b);
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_NEAR(after_f[i], before_f[i], 1e-8) << "trial " << trial;
-      ASSERT_NEAR(after_b[i], before_b[i], 1e-8) << "trial " << trial;
-    }
-  }
-}
-
-TEST(LuKernel, UpdatesKeepWorkingAfterCompression) {
-  Rng rng(107);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t m = 25 + rng.uniform_index(30);
-    BasisLu lu;
-    LuColumns columns;
-    make_updated_ft_basis(rng, m, 5, lu, columns);
-    ASSERT_TRUE(lu.compress_rfile(1e-9));
-
-    // Interleave further updates and compressions; the factorization must
-    // keep matching a fresh one of the mirrored columns throughout.
-    for (int round = 0; round < 6; ++round) {
-      apply_random_replacement(rng, lu, columns, rng.uniform_index(m));
-      if (round % 2 == 1) ASSERT_TRUE(lu.compress_rfile(1e-9));
-      BasisLu fresh;
-      ASSERT_TRUE(fresh.factorize(m, columns));
-      std::vector<double> rhs(m);
-      for (auto& v : rhs) v = rng.uniform(-2, 2);
-      auto via_updates = rhs, via_fresh = rhs;
-      lu.ftran(via_updates);
-      fresh.ftran(via_fresh);
-      for (std::size_t p = 0; p < m; ++p)
-        ASSERT_NEAR(via_updates[p], via_fresh[p], 1e-7)
-            << "trial " << trial << " round " << round;
-      auto yt_updates = rhs, yt_fresh = rhs;
-      lu.btran(yt_updates);
-      fresh.btran(yt_fresh);
-      for (std::size_t r = 0; r < m; ++r)
-        ASSERT_NEAR(yt_updates[r], yt_fresh[r], 1e-7)
-            << "trial " << trial << " round " << round;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Solver-level equivalence: the density threshold must change runtimes,
 // never answers or pivot sequences.
@@ -357,27 +289,6 @@ TEST(SimplexSparse, AdversarialCorpusAgreesAcrossThresholds) {
     ASSERT_EQ(dense.iterations, sparse.iterations) << "case " << i;
     if (dense.status == SolveStatus::Optimal)
       ASSERT_EQ(dense.objective, sparse.objective) << "case " << i;
-  }
-}
-
-TEST(SimplexSparse, ForcedCompressionStaysCorrect) {
-  // Compression after every update: maximal numerical churn through the
-  // fold-back path. Answers must agree with the plain dense solver to
-  // solver tolerance (compression legitimately perturbs roundoff, so
-  // iteration counts may differ — values may not).
-  const std::size_t count = fuzz_shard_count(30);
-  for (std::size_t i = 0; i < count; ++i) {
-    const FuzzLp fuzz = fuzz_lp(fuzz_base_seed() + 9900 + i);
-    SimplexOptions compressing;
-    compressing.rfile_compress_threshold = 1;
-    const LpSolution compressed = solve_simplex(fuzz.model, compressing);
-    const LpSolution plain = solve_simplex(fuzz.model, with_threshold(0.0));
-    ASSERT_EQ(compressed.status, plain.status) << "case " << i;
-    if (plain.status == SolveStatus::Optimal) {
-      const double scale = 1.0 + std::abs(plain.objective);
-      ASSERT_NEAR(compressed.objective, plain.objective, 1e-6 * scale)
-          << "case " << i;
-    }
   }
 }
 

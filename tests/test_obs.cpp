@@ -246,14 +246,13 @@ TEST(ObsTrace, SummaryAggregatesByPath) {
 }
 
 // summary() surfaces the hyper-sparse kernel telemetry — the FTRAN/BTRAN
-// sparse/dense path split, the RHS-density histogram behind the crossover,
-// and R-file compression events — from the metrics registry below the span
-// tree, without dragging in unrelated metrics.
+// sparse/dense path split and the RHS-density histogram behind the
+// crossover — from the metrics registry below the span tree, without
+// dragging in unrelated metrics.
 TEST(ObsTrace, SummaryIncludesKernelMetrics) {
   TelemetryScope scope;
   obs::counter_add("simplex.ftran.sparse", 7);
   obs::counter_add("simplex.ftran.dense", 3);
-  obs::counter_add("lu.rfile.compressions", 1);
   obs::histogram_record("simplex.rhs_density", 0.05);
   obs::histogram_record("simplex.rhs_density", 0.15);
   obs::counter_add("obs_test.unrelated", 1);
@@ -261,7 +260,6 @@ TEST(ObsTrace, SummaryIncludesKernelMetrics) {
   EXPECT_TRUE(contains(summary, "kernel metrics"));
   EXPECT_TRUE(contains(summary, "simplex.ftran.sparse  n=1  total=7"));
   EXPECT_TRUE(contains(summary, "simplex.ftran.dense  n=1  total=3"));
-  EXPECT_TRUE(contains(summary, "lu.rfile.compressions  n=1  total=1"));
   EXPECT_TRUE(contains(summary, "simplex.rhs_density  n=2  mean=0.1"));
   EXPECT_FALSE(contains(summary, "obs_test.unrelated"));
 }
@@ -429,6 +427,48 @@ TEST(ObsLu, WarmStartFactorizesOnlyTheSnapshotBasis) {
   ASSERT_EQ(ignored.solution.status, lp::SolveStatus::Optimal);
   EXPECT_EQ(starting_factorizations(ignored), 1.0);
   EXPECT_NEAR(ignored.solution.objective, cold.solution.objective, 1e-7);
+}
+
+// Every refactorization is counted under exactly one cause: the
+// simplex.refactor.* counters sum to simplex.refactorizations. A short
+// refactor period makes a cold solve and a warm dual re-solve of a
+// tightened copy refactorize for the period as well as to certify.
+TEST(ObsSimplex, EveryRefactorizationHasOneCause) {
+  const auto instance = test::random_instance(11);
+  const auto built = mcperf::build_lp(instance, mcperf::classes::general());
+  lp::SimplexOptions options;
+  options.refactor_period = 16;
+
+  TelemetryScope scope;
+  const auto cold = lp::solve_simplex(built.model, options);
+  ASSERT_EQ(cold.status, lp::SolveStatus::Optimal);
+  auto perturbed = built.model;
+  std::size_t used = 0;
+  for (std::size_t j = 0; j < perturbed.variable_count(); ++j) {
+    const double x = cold.x[j];
+    if (x > perturbed.lower(j) + 1e-6 && used++ % 16 == 0)
+      perturbed.set_bounds(j, perturbed.lower(j), (perturbed.lower(j) + x) / 2);
+  }
+  lp::SimplexOptions warm = options;
+  warm.method = lp::SimplexOptions::Method::Dual;
+  warm.warm_start = &cold.basis;
+  const auto dual = lp::solve_simplex(perturbed, warm);
+  ASSERT_EQ(dual.status, lp::SolveStatus::Optimal);
+
+  const auto snapshot = obs::Registry::global().snapshot();
+  const double total = snapshot.at("simplex.refactorizations").sum;
+  EXPECT_EQ(total, static_cast<double>(cold.refactorizations +
+                                       dual.refactorizations));
+  const std::string prefix = "simplex.refactor.";
+  double by_cause = 0;
+  std::size_t causes = 0;
+  for (const auto& [name, value] : snapshot) {
+    if (name.rfind(prefix, 0) != 0 || value.sum == 0) continue;
+    by_cause += value.sum;
+    ++causes;
+  }
+  EXPECT_GE(causes, 2u);
+  EXPECT_EQ(by_cause, total);
 }
 
 TEST(ObsDifferential, SimplexBitIdenticalWithTelemetry) {

@@ -2,10 +2,12 @@
 //
 //   wanplace_cli gen-example --out DIR
 //       Write a sample topology + trace pair to experiment with.
-//       --gen as-like (default) takes --nodes; --gen tree builds a
-//       hierarchical topology from --depth/--fanout/--level-latency
-//       [--level-bandwidth CAP to cap every link, --jitter F for latency
-//       jitter]. Tree topologies loaded by the commands below
+//       --gen as-like (default) takes --nodes (>= 2); --gen tree builds a
+//       hierarchical topology from --depth/--fanout (>= 1) and
+//       --level-latency (> 0) [--level-bandwidth CAP >= 0 to cap every
+//       link, 0 = uncapped; --jitter F in [0, 1) for latency jitter].
+//       --objects (>= 1) and --requests (>= --objects) shape the trace.
+//       Tree topologies loaded by the commands below
 //       automatically carry the link model that enables --class closest
 //       and per-link bandwidth capacity rows.
 //
@@ -13,6 +15,7 @@
 //       Section 6.1: class lower bounds + heuristic recommendation.
 //
 //   wanplace_cli plan --topology T --trace R [--zeta 10000] [options]
+//       (--zeta >= 0 is the cost of opening one site)
 //       Section 6.2: pick deployment sites, then the heuristic.
 //
 //   wanplace_cli bound --class NAME --topology T --trace R [options]
@@ -44,7 +47,8 @@
 //   --intervals 24     evaluation intervals over the trace horizon (>= 1)
 //   --origin 0         origin/headquarters node id, below the node count
 //   --scope per-user | overall | per-object | per-user-object
-//   --time-limit 10    seconds per LP solve
+//   --time-limit 10    wall-clock cap in seconds per PDHG solve (>= 0,
+//                      0 = none); simplex solves have no wall-clock cap
 //   --solver auto | simplex | dual | pdhg    force the LP solver choice
 //                      (dual = dual simplex; falls back to primal when no
 //                      dual-feasible start exists)
@@ -248,6 +252,8 @@ Loaded load(const Args& args) {
 bounds::BoundOptions bound_options(const Args& args) {
   bounds::BoundOptions options;
   options.pdhg.time_limit_s = args.get_double("time-limit", 10);
+  if (options.pdhg.time_limit_s < 0)
+    args.reject("time-limit", "a non-negative number of seconds");
   const std::string solver = args.get("solver", "auto");
   if (solver == "simplex") {
     options.solver = bounds::BoundOptions::Solver::Simplex;
@@ -288,7 +294,6 @@ void telemetry_end(const Args& args) {
 
 int cmd_gen_example(const Args& args) {
   const std::string out = args.get("out", "wanplace-example");
-  std::filesystem::create_directories(out);
 
   Rng rng(args.get_size("seed", 42));
   graph::Topology topology;
@@ -299,27 +304,40 @@ int cmd_gen_example(const Args& args) {
     // per-level bandwidth caps via --level-bandwidth (0 = uncapped).
     graph::TreeParams params;
     params.depth = args.get_size("depth", 3);
+    if (params.depth < 1) args.reject("depth", "a positive integer");
     params.fanout = args.get_size("fanout", 2);
+    if (params.fanout < 1) args.reject("fanout", "a positive integer");
     params.level_latency_ms = {args.get_double("level-latency", 100)};
+    if (params.level_latency_ms.front() <= 0)
+      args.reject("level-latency", "a positive number");
     params.latency_jitter = args.get_double("jitter", 0);
+    if (!(params.latency_jitter >= 0 && params.latency_jitter < 1))
+      args.reject("jitter", "a number in [0, 1)");
     const double bandwidth = args.get_double("level-bandwidth", 0);
+    if (bandwidth < 0) args.reject("level-bandwidth", "a non-negative number");
     if (bandwidth > 0) params.level_bandwidth = {bandwidth};
     topology = graph::tree(params, rng);
   } else if (gen == "as-like") {
     graph::AsLikeParams params;
     params.node_count = args.get_size("nodes", 12);
+    if (params.node_count < 2) args.reject("nodes", "an integer >= 2");
     topology = graph::as_like(params, rng);
   } else {
     throw Error("unknown generator '" + gen + "' (as-like|tree)");
   }
-  graph::save_topology_file(topology, out + "/topology.txt");
 
   workload::WebParams web;
   web.shape.node_count = topology.node_count();
   web.shape.object_count = args.get_size("objects", 60);
+  if (web.shape.object_count < 1) args.reject("objects", "a positive integer");
   web.shape.request_count = args.get_size("requests", 20'000);
+  if (web.shape.request_count < web.shape.object_count)
+    args.reject("requests", "at least one request per object (>= " +
+                                std::to_string(web.shape.object_count) + ")");
   web.shape.interval_weights = workload::diurnal_interval_weights(24);
   const auto trace = workload::generate_web(web, rng);
+  std::filesystem::create_directories(out);
+  graph::save_topology_file(topology, out + "/topology.txt");
   trace.save_file(out + "/trace.txt");
 
   // Drift-event stream for `serve`: seeded demand perturbations, plus a
@@ -530,6 +548,7 @@ int cmd_plan(const Args& args) {
   const auto loaded = load(args);
   core::PlannerOptions options;
   options.zeta = args.get_double("zeta", 10'000);
+  if (options.zeta < 0) args.reject("zeta", "a non-negative number");
   options.bounds = bound_options(args);
   const auto plan = core::DeploymentPlanner(options).plan(loaded.instance);
   std::cout << "deploy " << plan.open_nodes.size() << " nodes:";
