@@ -2,9 +2,9 @@
 // paper reports under 1 minute to ~12 hours with CPLEX on 2004 hardware,
 // with the rounding step taking seconds). This bench measures our solver
 // pipeline across instance sizes under the engine's Auto policy — exact
-// simplex over the Forrest-Tomlin sparse basis up to simplex_row_limit rows, PDHG +
-// rounding beyond — reporting LP dimensions, the chosen solver, and the
-// bound/rounding split.
+// simplex over the Forrest-Tomlin sparse basis under a work budget, PDHG when
+// the budget runs out — reporting LP dimensions, the solver that ran, and
+// the bound/rounding split.
 #include "common.h"
 
 #include <chrono>
@@ -94,8 +94,6 @@ void register_tree_points() {
           state.counters["dp_optimum"] = dp.optimum;
           state.counters["lp_bound"] = auto_detail.bound.lower_bound;
 
-          const bool exact = auto_detail.bound.lp_rows <=
-                             bench::bound_options().simplex_row_limit;
           bench::results()
               .cell(static_cast<std::int64_t>(nodes))
               .cell(std::int64_t{1})
@@ -123,7 +121,7 @@ void register_tree_points() {
                 .cell(std::int64_t{1})
                 .cell(static_cast<std::int64_t>(detail.bound.lp_rows))
                 .cell(static_cast<std::int64_t>(detail.bound.lp_variables))
-                .cell(pdhg ? "pdhg" : (exact ? "simplex-ft" : "pdhg"))
+                .cell(bounds::to_string(detail.bound.solver))
                 .cell(static_cast<std::int64_t>(it))
                 .cell(secs, 3)
                 .cell(it > 0 ? format_number(secs / it * 1e6, 1)
@@ -188,8 +186,9 @@ void register_points() {
             // Re-optimization after a goal change: the same LP re-bounded
             // at tqos = 0.97 (only the QoS row rhs moves, so the shape —
             // and therefore the exported basis — carries over), cold vs
-            // warm-started from the 0.99 solve's basis. PDHG-routed points
-            // have no warm start, so both columns are cold re-solves there.
+            // warm-started from the 0.99 solve's basis. A 0.99 solve that
+            // fell back to PDHG leaves no basis, so both columns are cold
+            // re-solves there.
             auto re_options = options;
             re_options.run_rounding = false;
             bench::reset_metrics();
@@ -207,15 +206,13 @@ void register_points() {
           state.counters["rows"] =
               static_cast<double>(detail.bound.lp_rows);
           state.counters["bound"] = detail.bound.lower_bound;
-          const bool exact =
-              detail.bound.lp_rows <= options.simplex_row_limit;
           bench::results()
               .cell(static_cast<std::int64_t>(size.nodes))
               .cell(static_cast<std::int64_t>(size.intervals))
               .cell(static_cast<std::int64_t>(size.objects))
               .cell(static_cast<std::int64_t>(detail.bound.lp_rows))
               .cell(static_cast<std::int64_t>(detail.bound.lp_variables))
-              .cell(exact ? "simplex-ft" : "pdhg")
+              .cell(bounds::to_string(detail.bound.solver))
               .cell(static_cast<std::int64_t>(solver_it))
               .cell(bound_s, 2)
               .cell(solver_it > 0
@@ -238,7 +235,7 @@ void register_points() {
   // (two-phase primal from scratch). One row per mode; the solver-iters
   // column is the phase-2 pivot count. K=30 keeps the planner model
   // (3733 rows: the open columns add coverage-linking rows over the
-  // general class's 2053) on the exact-simplex side of the Auto policy.
+  // general class's 2053) well inside the Auto policy's simplex budget.
   ::benchmark::RegisterBenchmark(
       "scaling/planner-phase2",
       [](::benchmark::State& state) {
@@ -252,7 +249,7 @@ void register_points() {
         const auto instance = study.web_instance(0.99);
         core::PlannerOptions planner;
         planner.bounds = bench::bound_options();
-        // bound_options() pins PDHG for the big sweep above; the planner
+        // bound_options() pins PDHG for the figure pipelines; the planner
         // point exercises the Auto policy so the 3733-row model takes the
         // exact-simplex path and the phase-2 column counts pivots.
         planner.bounds.solver = bounds::BoundOptions::Solver::Auto;

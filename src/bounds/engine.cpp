@@ -106,36 +106,9 @@ BoundDetail bound_pipeline(const mcperf::Instance& instance,
   detail.bound.lp_rows = detail.built.model.row_count();
   detail.bound.lp_variables = detail.built.model.variable_count();
 
-  const bool use_simplex =
-      options.solver == BoundOptions::Solver::Simplex ||
-      (options.solver == BoundOptions::Solver::Auto &&
-       detail.bound.lp_rows <= options.simplex_row_limit);
-
-  bool warm_used = false;
-  if (use_simplex) {
-    lp::SimplexOptions simplex = options.simplex;
-    // Thread the engine-level parallelism knob into the simplex
-    // pivot-row pricing pass (it only engages on large-row models and is
-    // bit-identical for every value, like the PDHG matvecs).
-    simplex.parallelism = options.parallelism;
-    const lp::BasisSnapshot* basis = options.warm.basis;
-    if (basis != nullptr &&
-        basis->compatible(detail.bound.lp_variables, detail.bound.lp_rows)) {
-      // A near-optimal basis for a perturbed model is dual-feasible (or a
-      // few repair flips away), which is exactly the dual method's starting
-      // requirement; it falls back to the cold primal on its own if not.
-      simplex.warm_start = basis;
-      simplex.method = lp::SimplexOptions::Method::Dual;
-      warm_used = true;
-    }
-    detail.solution = lp::solve_simplex(detail.built.model, simplex);
-  } else {
-    lp::PdhgOptions pdhg = options.pdhg;
-    if (pdhg.infeasibility_threshold == lp::kInfinity)
-      pdhg.infeasibility_threshold = 2 * instance.max_possible_cost() + 1;
-    pdhg.parallelism = options.parallelism;
-    detail.solution = lp::solve_pdhg(detail.built.model, pdhg);
-  }
+  LpRun run = solve_lp(instance, detail.built.model, options);
+  detail.solution = std::move(run.solution);
+  detail.bound.solver = run.solver;
   detail.bound.status = detail.solution.status;
   detail.bound.solver_iterations = detail.solution.iterations;
 
@@ -180,7 +153,7 @@ BoundDetail bound_pipeline(const mcperf::Instance& instance,
                      static_cast<double>(detail.bound.solver_iterations));
     obs::histogram_record("bounds.solve_seconds",
                           detail.bound.solve_seconds);
-    if (warm_used) obs::counter_add("bounds.warm_starts");
+    if (run.warm) obs::counter_add("bounds.warm_starts");
     // Only a computed gap belongs in the histogram: when rounding was
     // skipped (average-latency goal, run_rounding=false) or came back
     // infeasible, `gap` is still its default 0 and recording it would
@@ -192,12 +165,77 @@ BoundDetail bound_pipeline(const mcperf::Instance& instance,
   }
   log_info("bound[", spec.name, "]: lb=", detail.bound.lower_bound,
            " rounded=", detail.bound.rounded_cost,
-           " rows=", detail.bound.lp_rows, " time=",
+           " rows=", detail.bound.lp_rows, " solver=",
+           to_string(detail.bound.solver), " time=",
            detail.bound.solve_seconds, "s");
   return detail;
 }
 
 }  // namespace
+
+std::string to_string(const SolverRun& run) {
+  std::string out = run.path == SolverRun::Path::Simplex ? "simplex"
+                    : run.path == SolverRun::Path::Pdhg  ? "pdhg"
+                                                         : "simplex->pdhg";
+  if (run.cap == SolverRun::Cap::Iterations) out += " (iteration cap)";
+  if (run.cap == SolverRun::Cap::Time) out += " (time cap)";
+  return out;
+}
+
+LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
+               const BoundOptions& options) {
+  using Solver = BoundOptions::Solver;
+  LpRun run;
+  if (options.solver != Solver::Pdhg) {
+    lp::SimplexOptions simplex = options.simplex;
+    // Thread the engine-level parallelism knob into the simplex
+    // pivot-row pricing pass (it only engages on large-row models and is
+    // bit-identical for every value, like the PDHG matvecs).
+    simplex.parallelism = options.parallelism;
+    const std::size_t size = model.row_count() + model.variable_count();
+    if (options.solver == Solver::Auto && simplex.max_iterations == 0)
+      simplex.max_iterations = std::max<std::size_t>(
+          1, static_cast<std::size_t>(kSimplexWorkBudget /
+                                      static_cast<double>(size)));
+    const lp::BasisSnapshot* basis = options.warm.basis;
+    if (basis != nullptr &&
+        basis->compatible(model.variable_count(), model.row_count())) {
+      // A near-optimal basis for a perturbed model is dual-feasible (or a
+      // few repair flips away), which is exactly the dual method's starting
+      // requirement; it falls back to the cold primal on its own if not.
+      simplex.warm_start = basis;
+      simplex.method = lp::SimplexOptions::Method::Dual;
+      run.warm = true;
+    }
+    run.solution = lp::solve_simplex(model, simplex);
+    if (run.solution.status != lp::SolveStatus::IterationLimit) return run;
+    if (options.solver == Solver::Simplex) {
+      run.solver.cap = SolverRun::Cap::Iterations;
+      return run;
+    }
+    run.solver.path = SolverRun::Path::SimplexThenPdhg;
+    if (obs::metrics_enabled()) obs::counter_add("bounds.pdhg_fallback");
+    log_info("simplex spent its budget of ", simplex.max_iterations,
+             " pivots on ", model.row_count(), " rows; re-solving with PDHG");
+  } else {
+    run.solver.path = SolverRun::Path::Pdhg;
+  }
+  lp::PdhgOptions pdhg = options.pdhg;
+  if (pdhg.infeasibility_threshold == lp::kInfinity)
+    pdhg.infeasibility_threshold = 2 * instance.max_possible_cost() + 1;
+  pdhg.parallelism = options.parallelism;
+  run.solution = lp::solve_pdhg(model, pdhg);
+  if (run.solution.status == lp::SolveStatus::IterationLimit) {
+    // PDHG breaks on its clock before the iteration counter reaches the cap.
+    const bool iterations = run.solution.iterations >= pdhg.max_iterations;
+    run.solver.cap =
+        iterations ? SolverRun::Cap::Iterations : SolverRun::Cap::Time;
+    if (obs::metrics_enabled())
+      obs::counter_add(iterations ? "bounds.pdhg_iteration_cap"
+                                  : "bounds.pdhg_time_cap");
+  }
+  return run;
+}
 
 BoundDetail compute_bound_detail(const mcperf::Instance& instance,
                                  const mcperf::ClassSpec& spec,

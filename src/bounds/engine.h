@@ -1,9 +1,10 @@
 // Lower-bound engine: the pipeline of Section 5.
 //
 // For one (instance, heuristic class): check achievability, build the LP
-// relaxation, solve it (simplex when small enough to be exact, PDHG
-// otherwise), extract the certified lower bound, and round the fractional
-// solution into a feasible placement that witnesses the bound's tightness.
+// relaxation, solve it (the exact simplex under a work budget, PDHG when the
+// budget runs out), extract the certified lower bound, and round the
+// fractional solution into a feasible placement that witnesses the bound's
+// tightness.
 #pragma once
 
 #include <string>
@@ -16,16 +17,11 @@
 namespace wanplace::bounds {
 
 struct BoundOptions {
+  /// Auto runs the simplex on every LP under a deterministic work budget
+  /// (solve_lp) and re-solves with PDHG when the budget runs out. Simplex
+  /// and Pdhg force one solver with no budget and no fallback.
   enum class Solver { Auto, Simplex, Pdhg };
   Solver solver = Solver::Auto;
-  /// Auto picks simplex when the LP has at most this many rows (measured
-  /// crossover vs PDHG on this codebase: see bench/lp_solvers). With the
-  /// sparse LU basis the simplex stays exact and competitive well past the
-  /// old dense-inverse limit of 600 rows; Forrest-Tomlin updates + dynamic
-  /// Devex pricing moved the crossover up again — the 3914-row MC-PERF
-  /// case-study LP solves exactly in ~0.3 s vs ~0.5 s for PDHG with a
-  /// 1.6% rounding gap, so the limit now covers it.
-  std::size_t simplex_row_limit = 4000;
   lp::SimplexOptions simplex;
   lp::PdhgOptions pdhg;
   RoundingOptions rounding;
@@ -50,6 +46,56 @@ struct BoundOptions {
   WarmStart warm;
 };
 
+/// Which solver produced an LP result, and whether it stopped at a cap
+/// short of optimality (its bound is then certified but loose).
+struct SolverRun {
+  enum class Path {
+    Simplex,
+    Pdhg,
+    /// Auto's simplex spent its work budget; PDHG re-solved the LP.
+    SimplexThenPdhg,
+  };
+  /// Which cap, if any, stopped the solver that produced the result: PDHG's
+  /// iteration or time cap, or the iteration limit of a forced simplex
+  /// (Auto's simplex falls back to PDHG there instead).
+  enum class Cap { None, Iterations, Time };
+  Path path = Path::Simplex;
+  Cap cap = Cap::None;
+};
+
+/// "simplex", "pdhg" or "simplex->pdhg", then " (iteration cap)" or
+/// " (time cap)" when the solver stopped at one.
+std::string to_string(const SolverRun& run);
+
+/// The simplex work budget of Solver::Auto, in pivots x (rows + columns):
+/// a solve gets kSimplexWorkBudget / (rows + columns) pivots. A pivot's
+/// cost grows with the LP's size; on the default 12-node `gen-example`
+/// general LP (22,893 rows, 41,601 columns) 3876 pivots took 1.02 s, ~4 ns
+/// per pivot per row-or-column (Xeon at 2.1 GHz), so the budget is about a
+/// second of pivoting at any size. The most pivot-heavy case-study solve
+/// (storage-constrained at tqos 0.99: 3856 pivots x 12,197) uses a fifth
+/// of it. Deterministic: the budget counts pivots, never reads a clock.
+constexpr double kSimplexWorkBudget = 2.5e8;
+
+/// One LP solve under the options' solver policy; the bound pipeline and
+/// the deployment planner both solve through it.
+struct LpRun {
+  lp::LpSolution solution;
+  SolverRun solver;
+  /// options.warm.basis matched the model and seeded the dual simplex.
+  bool warm = false;
+};
+
+/// Solve `model`, built from `instance` (whose largest possible cost is
+/// PDHG's infeasibility threshold). Auto runs the simplex with
+/// max_iterations = kSimplexWorkBudget / (rows + columns) when
+/// options.simplex.max_iterations is 0, and when the simplex stops at its
+/// iteration limit re-solves cold with PDHG, counted as
+/// `bounds.pdhg_fallback`. options.warm.basis warm-starts the dual simplex
+/// when its shape matches the model.
+LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
+               const BoundOptions& options);
+
 /// The inherent-cost estimate for one heuristic class.
 struct ClassBound {
   std::string class_name;
@@ -71,6 +117,10 @@ struct ClassBound {
 
   std::size_t lp_rows = 0;
   std::size_t lp_variables = 0;
+  /// The solver that produced `lower_bound` (left at its default when the
+  /// achievability gate stopped the class before any solve).
+  SolverRun solver;
+  /// Iterations of that solver; after a fallback, PDHG's.
   std::size_t solver_iterations = 0;
   double solve_seconds = 0;
 };

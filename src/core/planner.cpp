@@ -48,6 +48,7 @@ DeploymentPlan DeploymentPlanner::plan(
 
   DeploymentPlan plan;
   plan.phase1_lower_bound = detail.bound.lower_bound;
+  plan.phase1_solver = detail.bound.solver;
 
   // Rank sites by how strongly the LP wants them open, then keep the
   // smallest prefix on which the goal is still achievable. This turns the
@@ -126,7 +127,8 @@ DeploymentPlan DeploymentPlanner::plan(
   // what makes the warm start pay: a bounds-only perturbation leaves the
   // phase-1 basis dual feasible, so the dual simplex re-optimizes in a few
   // pivots (zeroing zeta would move the duals through the basic fractional
-  // open columns and force a cold fallback). PDHG models re-solve cold.
+  // open columns and force a cold fallback). The solve goes through the
+  // bound engine's solver policy; a PDHG re-solve starts cold.
   {
     obs::Span span("planner.phase2");
     lp::LpModel model = detail.built.model;
@@ -140,30 +142,12 @@ DeploymentPlan DeploymentPlanner::plan(
       if (is_open[n]) open_cost += model.objective(j);
       model.fix_variable(j, is_open[n] ? 1.0 : 0.0);
     }
-    const bool use_simplex =
-        options_.bounds.solver == bounds::BoundOptions::Solver::Simplex ||
-        (options_.bounds.solver == bounds::BoundOptions::Solver::Auto &&
-         model.row_count() <= options_.bounds.simplex_row_limit);
-    bool warm = false;
-    lp::LpSolution refit;
-    if (use_simplex) {
-      lp::SimplexOptions simplex = options_.bounds.simplex;
-      simplex.parallelism = options_.bounds.parallelism;
-      if (options_.warm_phase2 &&
-          detail.solution.basis.compatible(model.variable_count(),
-                                           model.row_count())) {
-        simplex.warm_start = &detail.solution.basis;
-        simplex.method = lp::SimplexOptions::Method::Dual;
-        warm = true;
-      }
-      refit = lp::solve_simplex(model, simplex);
-    } else {
-      lp::PdhgOptions pdhg = options_.bounds.pdhg;
-      if (pdhg.infeasibility_threshold == lp::kInfinity)
-        pdhg.infeasibility_threshold = 2 * phase1.max_possible_cost() + 1;
-      pdhg.parallelism = options_.bounds.parallelism;
-      refit = lp::solve_pdhg(model, pdhg);
-    }
+    bounds::BoundOptions refit_options = options_.bounds;
+    refit_options.warm.basis =
+        options_.warm_phase2 ? &detail.solution.basis : nullptr;
+    const auto [refit, solver, warm] =
+        bounds::solve_lp(phase1, model, refit_options);
+    plan.phase2_solver = solver;
     if (refit.status != lp::SolveStatus::Infeasible)
       plan.phase2_lower_bound =
           std::max(0.0, refit.dual_bound - open_cost);
@@ -178,7 +162,8 @@ DeploymentPlan DeploymentPlanner::plan(
       if (warm) obs::counter_add("planner.phase2.warm_starts");
     }
     log_info("planner: phase 2 bound ", plan.phase2_lower_bound, " in ",
-             refit.iterations, warm ? " warm" : " cold", " iterations");
+             refit.iterations, warm ? " warm" : " cold", " iterations (",
+             bounds::to_string(solver), ")");
   }
 
   // --- assignment: users go to the nearest deployed node ------------------

@@ -26,8 +26,8 @@ struct PlannerOptions {
   /// and assignment, e.g. the Figure 3 bench that sweeps QoS itself).
   bool run_phase2 = true;
   /// Warm-start the simplex phase-2 re-optimization of the phase-1 LP with
-  /// the dual method from the phase-1 basis. A PDHG-routed phase 2 always
-  /// re-solves cold. The bound is the same either way — the switch exists
+  /// the dual method from the phase-1 basis. A phase 1 that PDHG solved
+  /// leaves no basis, and a PDHG re-solve always starts cold. The bound is the same either way — the switch exists
   /// so benches can measure warm vs cold pivot counts.
   bool warm_phase2 = true;
 };
@@ -49,6 +49,9 @@ struct DeploymentPlan {
   /// coefficients change, this re-solve runs the dual simplex warm-started
   /// from the phase-1 basis (see PlannerOptions::warm_phase2).
   double phase2_lower_bound = 0;
+  /// The solvers behind the two bounds (bounds::to_string names them).
+  bounds::SolverRun phase1_solver;
+  bounds::SolverRun phase2_solver;
   /// Phase-2 class selection on the reduced system.
   SelectionReport selection;
 };

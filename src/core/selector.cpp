@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,7 +21,7 @@ const bounds::ClassBound& SelectionReport::recommended_bound() const {
 
 Table SelectionReport::to_table() const {
   Table table({"class", "max-qos", "achievable", "lower-bound",
-               "rounded-cost", "gap"});
+               "rounded-cost", "gap", "solver"});
   auto add = [&](const bounds::ClassBound& bound) {
     table.cell(bound.class_name)
         .cell(bound.max_achievable_qos, 6)
@@ -28,9 +31,10 @@ Table SelectionReport::to_table() const {
           .cell(bound.rounded_feasible ? format_number(bound.rounded_cost, 1)
                                        : std::string("-"))
           .cell(bound.rounded_feasible ? format_number(bound.gap, 3)
-                                       : std::string("-"));
+                                       : std::string("-"))
+          .cell(bounds::to_string(bound.solver));
     } else {
-      table.cell("-").cell("-").cell("-");
+      table.cell("-").cell("-").cell("-").cell("-");
     }
     table.finish_row();
   };
@@ -115,6 +119,12 @@ SelectionReport HeuristicSelector::select(
     drain();
     for (auto& task : pending) task.get();
   }
+#ifdef __GLIBC__
+  // The slots' LP models and factors were freed on every thread, and glibc
+  // keeps a worker's freed heap in that thread's arena: without the trim
+  // each call's peak RSS creeps upward on a long-lived process.
+  malloc_trim(0);
+#endif
   report.general = details[0].bound;
   report.classes.reserve(options_.classes.size());
   for (std::size_t idx = 0; idx < options_.classes.size(); ++idx)

@@ -26,8 +26,8 @@ const char* to_string(RowType type) {
   return "?";
 }
 
-std::size_t LpModel::add_variable(double lower, double upper, double objective,
-                                  std::string name) {
+std::size_t LpModel::add_variable(double lower, double upper,
+                                  double objective) {
   WANPLACE_REQUIRE(lower <= upper, "variable bounds inverted");
   WANPLACE_REQUIRE(!std::isnan(lower) && !std::isnan(upper) &&
                        !std::isnan(objective),
@@ -35,7 +35,6 @@ std::size_t LpModel::add_variable(double lower, double upper, double objective,
   lower_.push_back(lower);
   upper_.push_back(upper);
   objective_.push_back(objective);
-  var_names_.push_back(std::move(name));
   return lower_.size() - 1;
 }
 

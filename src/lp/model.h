@@ -5,8 +5,8 @@
 //               lo_j <= x_j <= up_j                   for every variable
 //
 // Models are assembled incrementally (add_variable / add_row) and frozen
-// into CSR form on demand. Variable and row names are optional and used only
-// for diagnostics.
+// into CSR form on demand. Row names are optional and used only for
+// diagnostics (the sensitivity report names QoS rows by them).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,7 @@ struct RowSpec {
 class LpModel {
  public:
   /// Add a variable with bounds and objective coefficient; returns its index.
-  std::size_t add_variable(double lower, double upper, double objective,
-                           std::string name = {});
+  std::size_t add_variable(double lower, double upper, double objective);
 
   /// Add a constraint row; returns its index. Column indices must reference
   /// existing variables; duplicated columns are summed.
@@ -61,7 +60,6 @@ class LpModel {
   double upper(std::size_t j) const { return upper_[j]; }
   double objective(std::size_t j) const { return objective_[j]; }
   const RowSpec& row(std::size_t r) const { return rows_[r]; }
-  const std::string& variable_name(std::size_t j) const { return var_names_[j]; }
   const std::string& row_name(std::size_t r) const { return row_names_[r]; }
 
   /// Tighten variable bounds after creation (used for class constraints that
@@ -94,7 +92,6 @@ class LpModel {
 
  private:
   std::vector<double> lower_, upper_, objective_;
-  std::vector<std::string> var_names_;
   std::vector<RowSpec> rows_;
   std::vector<std::string> row_names_;
 };

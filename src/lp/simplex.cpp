@@ -246,8 +246,9 @@ class Simplex {
     FtRefused,         // Forrest-Tomlin update rejected by its own guard
     Period,            // refactor period expired
     Fill,              // FT fill guard (factor + R-file grew too dense)
-    SingularRollback,  // post-pivot factorization failed; pivot rolled back
+    SingularRollback,  // basis found singular; rolled back to a factorized one
     Bland,             // entering Bland mode wants exact reduced costs
+    Verify,            // replaying pivots one by one after a rollback
     kCount
   };
 
@@ -257,6 +258,14 @@ class Simplex {
     if (!dense_basis() && obs::metrics_enabled())
       obs::histogram_record("lu.r_file_len",
                             static_cast<double>(lu_.r_nonzeros()));
+  }
+
+  /// A singular basis was found: the recovery's factorization counts as
+  /// one more refactorization, with the rollback as its cause.
+  void note_rollback() {
+    ++refactorizations_;
+    ++refactor_cause_[static_cast<std::size_t>(
+        RefactorCause::SingularRollback)];
   }
 
   void publish_metrics(const LpSolution& solution) const {
@@ -269,7 +278,8 @@ class Simplex {
         "simplex.refactor.certify",    "simplex.refactor.drift",
         "simplex.refactor.agreement",  "simplex.refactor.ft_refused",
         "simplex.refactor.period",     "simplex.refactor.fill",
-        "simplex.refactor.singular_rollback", "simplex.refactor.bland"};
+        "simplex.refactor.singular_rollback", "simplex.refactor.bland",
+        "simplex.refactor.verify"};
     static_assert(std::size(kCauseNames) ==
                   static_cast<std::size_t>(RefactorCause::kCount));
     for (std::size_t c = 0; c < std::size(kCauseNames); ++c)
@@ -297,6 +307,9 @@ class Simplex {
     if (dual_fallbacks_ > 0)
       obs::counter_add("simplex.dual.fallbacks",
                        static_cast<double>(dual_fallbacks_));
+    if (feasibility_lost_ > 0)
+      obs::counter_add("simplex.feasibility_lost",
+                       static_cast<double>(feasibility_lost_));
     if (dual_repair_flips_ > 0)
       obs::counter_add("simplex.dual.repair_flips",
                        static_cast<double>(dual_repair_flips_));
@@ -343,6 +356,11 @@ class Simplex {
                     RefactorCause& cause) {
     if (!updated) {
       cause = RefactorCause::FtRefused;
+      return true;
+    }
+    if (verify_pivots_ > 0) {
+      --verify_pivots_;
+      cause = RefactorCause::Verify;
       return true;
     }
     if (pivots_since_refactor >= effective_refactor_period()) {
@@ -467,13 +485,16 @@ class Simplex {
       }
     }
     cost_.assign(total, 0.0);
+    banned_ = SIZE_MAX;
+    verify_pivots_ = 0;
   }
 
   /// Factorize the slack/artificial basis build() set up. Only a cold start
   /// pays for this: a warm start factorizes the snapshot's basis instead,
   /// so build() leaves the LU alone. (The dense inverse is already set.)
   void factorize_cold_basis() {
-    if (!dense_basis()) factorize_lu();
+    if (!dense_basis())
+      WANPLACE_CHECK(try_factorize_lu(), "singular slack basis");
   }
 
   void set_phase_costs(bool phase1) {
@@ -670,7 +691,8 @@ class Simplex {
   }
 
   /// Factorize the current basis into the sparse LU (clears the R-file).
-  /// Returns false on a (numerically) singular basis.
+  /// Returns false on a (numerically) singular basis. A basis that
+  /// factorizes is remembered as the rollback target of restore_good_basis.
   bool try_factorize_lu() {
     std::vector<std::vector<BasisLu::Entry>> columns(m_);
     for (std::size_t p = 0; p < m_; ++p) {
@@ -678,12 +700,33 @@ class Simplex {
         columns[p].push_back({static_cast<std::uint32_t>(r), v});
       });
     }
-    return lu_.factorize(m_, columns, options_.lu_pivot_threshold);
+    if (!lu_.factorize(m_, columns, options_.lu_pivot_threshold))
+      return false;
+    good_basis_ = basis_;
+    good_status_ = status_;
+    good_iteration_ = iterations_;
+    return true;
   }
 
-  void factorize_lu() {
-    WANPLACE_CHECK(try_factorize_lu(),
-                   "singular basis during refactorization");
+  /// Recover from a singular basis: return to the last basis that
+  /// factorized, with every nonbasic column back on the bound it had then,
+  /// and recompute the basic values. The pivots taken since were committed
+  /// on update-file numbers that let a dead pivot through, so the next as
+  /// many pivots are each followed by a factorization (RefactorCause::
+  /// Verify): a replayed pivot that breaks the basis again is then caught
+  /// on fresh factors, where the post-pivot site refuses it.
+  void restore_good_basis() {
+    verify_pivots_ = iterations_ - good_iteration_;
+    basis_ = good_basis_;
+    status_ = good_status_;
+    for (std::size_t j = 0; j < total_columns(); ++j) {
+      if (status_[j] == VarStatus::Basic) continue;
+      x_[j] = status_[j] == VarStatus::AtLower   ? lower_[j]
+              : status_[j] == VarStatus::AtUpper ? upper_[j]
+                                                 : 0.0;
+    }
+    WANPLACE_CHECK(try_factorize_lu(), "factorized basis turned singular");
+    recompute_basic_values();
   }
 
   void refactorize() {
@@ -693,8 +736,12 @@ class Simplex {
     ftran_gate_ = SparseGate{};
     btran_gate_ = SparseGate{};
     if (!dense_basis()) {
-      factorize_lu();
-      recompute_basic_values();
+      if (try_factorize_lu()) {
+        recompute_basic_values();
+      } else {
+        note_rollback();
+        restore_good_basis();
+      }
       return;
     }
     // Gauss-Jordan inversion of the basis matrix with partial pivoting.
@@ -940,7 +987,7 @@ class Simplex {
     for (std::size_t j = 0; j < total_columns(); ++j) {
       bool inc = true;
       const double d = reduced_cost(j, y_);
-      if (!eligible(j, d, inc)) continue;
+      if (!eligible(j, d, inc) || j == banned_) continue;
       choice.entering = j;
       choice.reduced = d;
       choice.increasing = inc;
@@ -958,7 +1005,7 @@ class Simplex {
     for (std::size_t j = 0; j < total_columns(); ++j) {
       bool inc = true;
       const double d = d_[j];
-      if (!eligible(j, d, inc)) continue;
+      if (!eligible(j, d, inc) || j == banned_) continue;
       const double score = d * d / devex_weight_[j];
       if (score > best_score) {
         best_score = score;
@@ -1404,16 +1451,20 @@ class Simplex {
           if (!refresh_dual_state()) return dual_stop();
           pivots_since_refactor = 0;
         } else {
-          WANPLACE_CHECK(updates_before > 0,
-                         "singular basis during refactorization");
-          ++refactor_cause_[static_cast<std::size_t>(
-              RefactorCause::SingularRollback)];
+          note_rollback();
+          // Chosen on fresh factors, the pivot itself breaks the basis:
+          // the dual method cannot refuse a ratio-test winner, so the
+          // cold primal takes over.
+          if (updates_before == 0) return dual_stop();
           basis_[p_row] = leaving;
           status_[leaving] = VarStatus::Basic;
           status_[entering] = entering_status_before;
           x_[entering] = entering_x_before;
-          factorize_lu();
-          recompute_basic_values();
+          if (try_factorize_lu()) {
+            recompute_basic_values();
+          } else {
+            restore_good_basis();
+          }
           if (!refresh_dual_state()) return dual_stop();
           pivots_since_refactor = 0;
           continue;
@@ -1477,13 +1528,29 @@ class Simplex {
     std::size_t pivots_since_refactor = 0;
 
     for (; iterations_ < max_iters; ++iterations_) {
+      // Right after a factorization (the counter is 0 only then) the basic
+      // values are recomputed from fresh factors, and a primal phase needs
+      // them inside their bounds. Roundoff in a near-singular basis can
+      // carry them out; pivoting on from there would move the objective
+      // the wrong way, so the phase stops with its certified dual bound.
+      if (pivots_since_refactor == 0 && !primal_feasible()) {
+        ++feasibility_lost_;
+        return SolveStatus::IterationLimit;
+      }
       const PricingChoice choice = bland_ ? price_bland() : price_devex();
       if (choice.entering == SIZE_MAX) {
         // No candidate under the incrementally maintained duals. Before
         // declaring optimality, rebuild the factorization and duals from
         // scratch and re-price: pivot drift must never certify a false
-        // optimum.
-        if (duals_clean_) return SolveStatus::Optimal;
+        // optimum. Neither may a refused column that still prices in:
+        // the phase stops short, its dual bound still certified.
+        if (duals_clean_) {
+          bool increasing = true;
+          if (banned_ != SIZE_MAX &&
+              eligible(banned_, d_[banned_], increasing))
+            return SolveStatus::IterationLimit;
+          return SolveStatus::Optimal;
+        }
         note_refactor(RefactorCause::Certify);
         refactorize();
         refresh_incremental_state();
@@ -1634,24 +1701,27 @@ class Simplex {
               refresh_incremental_state();
               pivots_since_refactor = 0;
             } else {
-              // The mutated basis is singular: accumulated update-file
-              // drift let a numerically-dead pivot through the ratio test
-              // (its FTRAN'd magnitude cleared pivot_tol, its true value
-              // did not). Only drift can explain it — a pivot computed
-              // from a fresh factorization that still yields a singular
-              // successor is a real bug, so crash in that case. Roll the
-              // basis change back and retry the iteration on drift-free
-              // numbers.
-              WANPLACE_CHECK(updates_before > 0,
-                             "singular basis during refactorization");
-              ++refactor_cause_[static_cast<std::size_t>(
-                  RefactorCause::SingularRollback)];
+              // The mutated basis is singular. Under an update file,
+              // drift may have let a numerically dead pivot through the
+              // ratio test (its FTRAN'd magnitude cleared pivot_tol, its
+              // true value did not): roll the basis change back and retry
+              // the iteration on drift-free numbers. A pivot chosen on
+              // fresh factors is itself the culprit (its magnitude clears
+              // pivot_tol but not the LU's singularity threshold): it is
+              // refused until the next committed pivot. When the basis
+              // before the pivot is singular too, the last factorized
+              // basis takes over.
+              note_rollback();
+              if (updates_before == 0) banned_ = entering;
               basis_[leaving_pos] = leaving;
               status_[leaving] = VarStatus::Basic;
               status_[entering] = entering_status_before;
               x_[entering] = entering_x_before;
-              factorize_lu();
-              recompute_basic_values();
+              if (try_factorize_lu()) {
+                recompute_basic_values();
+              } else {
+                restore_good_basis();
+              }
               refresh_incremental_state();
               pivots_since_refactor = 0;
               continue;
@@ -1705,7 +1775,9 @@ class Simplex {
       // Degenerate-pivot streak (basis changes with a zero step; long
       // streaks are the classic stall signature the stall counter reacts
       // to). Reached only when the pivot was committed — the refactorize
-      // -and-retry paths `continue` above.
+      // -and-retry paths `continue` above. A committed pivot moves the
+      // basis, so a refused column may enter again.
+      banned_ = SIZE_MAX;
       if (leaving_pos != SIZE_MAX) {
         if (step == 0) {
           ++degenerate_pivots_;
@@ -1816,6 +1888,16 @@ class Simplex {
   bool dual_shifted_ = false;        // costs shifted: primal cleanup owed
   std::size_t iterations_ = 0;
   std::size_t refactorizations_ = 0;
+  // The last basis the LU factorized (restore_good_basis), the iteration
+  // it was factorized at, and how many pivots still get a verifying
+  // factorization each after a rollback to it.
+  std::vector<std::size_t> good_basis_;
+  std::vector<VarStatus> good_status_;
+  std::size_t good_iteration_ = 0;
+  std::size_t verify_pivots_ = 0;
+  // Primal: column refused as entering until the next committed pivot
+  // (its pivot on fresh factors made the basis singular), or SIZE_MAX.
+  std::size_t banned_ = SIZE_MAX;
   std::size_t stall_count_ = 0;
   bool bland_ = false;
   double rhs_scale_ = 0;
@@ -1832,6 +1914,7 @@ class Simplex {
   std::size_t warm_accepted_ = 0;
   std::size_t dual_solves_ = 0;
   std::size_t dual_fallbacks_ = 0;
+  std::size_t feasibility_lost_ = 0;
   std::size_t dual_repair_flips_ = 0;
   std::size_t dual_cost_shifts_ = 0;
   std::size_t ftran_sparse_ = 0;

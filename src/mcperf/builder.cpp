@@ -10,16 +10,6 @@
 
 namespace wanplace::mcperf {
 
-namespace {
-
-std::string nik_name(const char* prefix, std::size_t n, std::size_t i,
-                     std::size_t k) {
-  return std::string(prefix) + "[" + std::to_string(n) + "," +
-         std::to_string(i) + "," + std::to_string(k) + "]";
-}
-
-}  // namespace
-
 BoolMatrix compute_fetch(const Instance& instance, const ClassSpec& spec) {
   const std::size_t n_count = instance.node_count();
   if (spec.routing == Routing::Global) return graph::fetch_all(n_count);
@@ -155,15 +145,15 @@ BuiltModel build_lp(const Instance& instance, const ClassSpec& spec) {
           // The headquarters stores everything as pre-existing
           // infrastructure: fixed, free, never created.
           built.store(n, i, k) = static_cast<std::int32_t>(
-              model.add_variable(1, 1, 0, nik_name("store", n, i, k)));
+              model.add_variable(1, 1, 0));
           built.create(n, i, k) = static_cast<std::int32_t>(
-              model.add_variable(0, 0, 0, nik_name("create", n, i, k)));
+              model.add_variable(0, 0, 0));
         } else {
           built.store(n, i, k) = static_cast<std::int32_t>(model.add_variable(
-              0, 1, store_cost, nik_name("store", n, i, k)));
+              0, 1, store_cost));
           const double create_ub = built.create_allowed(n, i, k) ? 1.0 : 0.0;
           built.create(n, i, k) = static_cast<std::int32_t>(model.add_variable(
-              0, create_ub, costs.beta, nik_name("create", n, i, k)));
+              0, create_ub, costs.beta));
         }
       }
     }
@@ -204,7 +194,7 @@ BuiltModel build_lp(const Instance& instance, const ClassSpec& spec) {
           const double reads = demand.read(n, i, k);
           if (reads <= 0) continue;
           const auto cov = static_cast<std::int32_t>(
-              model.add_variable(0, 1, 0, nik_name("covered", n, i, k)));
+              model.add_variable(0, 1, 0));
           built.covered(n, i, k) = cov;
           if (built.reach[n].empty()) {
             model.fix_variable(cov, 0);
@@ -314,9 +304,7 @@ BuiltModel build_lp(const Instance& instance, const ClassSpec& spec) {
               route_cost = costs.gamma * reads * excess;
             }
             const auto var = static_cast<std::int32_t>(model.add_variable(
-                0, 1, route_cost,
-                "route[" + std::to_string(n) + "," + std::to_string(m) + "," +
-                    std::to_string(i) + "," + std::to_string(k) + "]"));
+                0, 1, route_cost));
             built.routes.push_back(RouteVar{n, m, i, k, var});
             sum_cols.push_back(static_cast<std::size_t>(var));
             // (9): route <= store at the server.
@@ -417,8 +405,7 @@ BuiltModel build_lp(const Instance& instance, const ClassSpec& spec) {
           costs.alpha * static_cast<double>(i_count) *
           (per_system ? static_cast<double>(open_nodes) : 1.0);
       built.capacity.push_back(static_cast<std::int32_t>(model.add_variable(
-          0, static_cast<double>(k_count), weight,
-          "cap[" + std::to_string(c) + "]")));
+          0, static_cast<double>(k_count), weight)));
     }
     for (std::size_t n = 0; n < n_count; ++n) {
       if (instance.is_origin(n)) continue;
@@ -448,8 +435,7 @@ BuiltModel build_lp(const Instance& instance, const ClassSpec& spec) {
           costs.alpha * static_cast<double>(i_count) *
           (per_system ? static_cast<double>(k_count) : 1.0);
       built.replication.push_back(static_cast<std::int32_t>(
-          model.add_variable(0, static_cast<double>(open_nodes), weight,
-                             "rep[" + std::to_string(c) + "]")));
+          model.add_variable(0, static_cast<double>(open_nodes), weight)));
     }
     for (std::size_t k = 0; k < k_count; ++k) {
       const std::int32_t rep = per_system ? built.replication[0]
@@ -476,7 +462,7 @@ BuiltModel build_lp(const Instance& instance, const ClassSpec& spec) {
     for (std::size_t n = 0; n < n_count; ++n) {
       if (instance.is_origin(n)) continue;  // headquarters is already open
       built.open[n] = static_cast<std::int32_t>(model.add_variable(
-          0, 1, costs.zeta, "open[" + std::to_string(n) + "]"));
+          0, 1, costs.zeta));
       for (std::size_t i = 0; i < i_count; ++i)
         for (std::size_t k = 0; k < k_count; ++k)
           model.add_row(
@@ -630,13 +616,11 @@ class DeltaPatcher {
           store_cost += costs.delta * writes_ik;
         }
         built_.store(fresh, i, k) = static_cast<std::int32_t>(
-            model_.add_variable(0, 1, store_cost,
-                                nik_name("store", fresh, i, k)));
+            model_.add_variable(0, 1, store_cost));
         const double create_ub =
             built_.create_allowed(fresh, i, k) ? 1.0 : 0.0;
         built_.create(fresh, i, k) = static_cast<std::int32_t>(
-            model_.add_variable(0, create_ub, costs.beta,
-                                nik_name("create", fresh, i, k)));
+            model_.add_variable(0, create_ub, costs.beta));
         std::vector<std::size_t> cols{
             static_cast<std::size_t>(built_.store(fresh, i, k)),
             static_cast<std::size_t>(built_.create(fresh, i, k))};
@@ -652,7 +636,7 @@ class DeltaPatcher {
     if (costs.zeta > 0) {
       built_.open.resize(n_count, -1);
       built_.open[fresh] = static_cast<std::int32_t>(model_.add_variable(
-          0, 1, costs.zeta, "open[" + std::to_string(fresh) + "]"));
+          0, 1, costs.zeta));
       for (std::size_t i = 0; i < i_count; ++i)
         for (std::size_t k = 0; k < k_count; ++k)
           model_.add_row(
@@ -676,8 +660,7 @@ class DeltaPatcher {
       } else {
         cap = static_cast<std::int32_t>(model_.add_variable(
             0, static_cast<double>(k_count),
-            costs.alpha * static_cast<double>(i_count),
-            "cap[" + std::to_string(fresh) + "]"));
+            costs.alpha * static_cast<double>(i_count)));
         built_.capacity.push_back(cap);
       }
       for (std::size_t i = 0; i < i_count; ++i) {
@@ -762,7 +745,7 @@ class DeltaPatcher {
     if (built_.covered(n, i, k) >= 0) return;
     if (instance_.demand.read(n, i, k) <= 0) return;
     built_.covered(n, i, k) = static_cast<std::int32_t>(
-        model_.add_variable(0, 0, 0, nik_name("covered", n, i, k)));
+        model_.add_variable(0, 0, 0));
   }
 
   /// Re-derive one cell's covered bounds and coverage row from the current
@@ -891,10 +874,8 @@ class DeltaPatcher {
     for (std::size_t m = 0; m < n_count; ++m) {
       if (have[m] || !built_.fetch(n, m)) continue;
       if (!std::isfinite(instance_.latencies(n, m))) continue;
-      const auto var = static_cast<std::int32_t>(model_.add_variable(
-          0, 1, 0,
-          "route[" + std::to_string(n) + "," + std::to_string(m) + "," +
-              std::to_string(i) + "," + std::to_string(k) + "]"));
+      const auto var =
+          static_cast<std::int32_t>(model_.add_variable(0, 1, 0));
       cell.push_back(built_.routes.size());
       built_.routes.push_back(RouteVar{n, m, i, k, var});
       // (9): route <= store at the server.

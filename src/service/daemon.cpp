@@ -205,6 +205,7 @@ EventOutcome PlacementDaemon::finish(EventOutcome out,
   out.achievable = detail.bound.achievable;
   out.lower_bound = detail.bound.lower_bound;
   out.pivots = detail.solution.iterations;
+  out.solver = detail.bound.solver;
   last_bound_ = out.lower_bound;
   if (obs::metrics_enabled())
     obs::counter_add("service.pivots", static_cast<double>(out.pivots));

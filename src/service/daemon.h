@@ -62,6 +62,7 @@ struct EventOutcome {
   bool achievable = false;
   double lower_bound = 0;
   std::size_t pivots = 0;      // solver iterations of this event's solve
+  bounds::SolverRun solver;    // which solver produced the bound
 
   bool candidate_feasible = false;
   double candidate_cost = 0;

@@ -12,6 +12,7 @@
 #include "lp/scaling.h"
 #include "lp/simplex.h"
 #include "lp/sparse.h"
+#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -420,8 +421,8 @@ TEST(Simplex, SimpleTwoVariable) {
   // min -x - 2y  s.t.  x + y <= 4, x <= 3, y <= 2  =>  x=2? check: maximize
   // x + 2y over the region: y=2, x=2 -> objective -6.
   LpModel model;
-  const auto x = model.add_variable(0, 3, -1, "x");
-  const auto y = model.add_variable(0, 2, -2, "y");
+  const auto x = model.add_variable(0, 3, -1);
+  const auto y = model.add_variable(0, 2, -2);
   model.add_row(RowType::Le, 4, {x, y}, {1, 1});
   const auto sol = solve_simplex(model);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -433,8 +434,8 @@ TEST(Simplex, SimpleTwoVariable) {
 TEST(Simplex, GeRowsRequireCoverage) {
   // min x + 3y  s.t. x + y >= 2, y >= 0.5
   LpModel model;
-  const auto x = model.add_variable(0, kInfinity, 1, "x");
-  const auto y = model.add_variable(0, kInfinity, 3, "y");
+  const auto x = model.add_variable(0, kInfinity, 1);
+  const auto y = model.add_variable(0, kInfinity, 3);
   model.add_row(RowType::Ge, 2, {x, y}, {1, 1});
   model.add_row(RowType::Ge, 0.5, {y}, {1});
   const auto sol = solve_simplex(model);
@@ -501,6 +502,51 @@ TEST(Simplex, FixedVariablesRespected) {
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.x[x], 0.25, 1e-9);
   EXPECT_NEAR(sol.x[y], 0.75, 1e-8);
+}
+
+// The smallest LP found whose basis the sparse LU calls singular after the
+// simplex has pivoted into it. x_a's only entry (5e-9) clears the ratio
+// test's pivot tolerance (1e-9), so it enters on fresh factors and the
+// Forrest–Tomlin update accepts it; once x_b's 1e4 shares the basis, the
+// LU's singularity threshold (1e-11 of the largest entry) rejects x_a's
+// column, and the optimality check's refactorization finds the basis
+// singular. The solve must roll back to the last factorized basis, refuse
+// the pivot that breaks it again, and stop with a certified bound instead
+// of aborting.
+TEST(Simplex, SingularBasisAtCertifyRollsBack) {
+  LpModel model;
+  const auto a = model.add_variable(0, kInfinity, -1);
+  const auto b = model.add_variable(0, kInfinity, -1);
+  model.add_row(RowType::Le, 5e-9, {a}, {5e-9});
+  model.add_row(RowType::Le, 1e4, {b}, {1e4});
+  obs::Registry::global().enable(true);
+  obs::Registry::global().reset();
+  for (const auto method :
+       {SimplexOptions::Method::Primal, SimplexOptions::Method::Dual}) {
+    SimplexOptions options;
+    options.method = method;
+    LpSolution sol;
+    ASSERT_NO_THROW(sol = solve_simplex(model, options));
+    EXPECT_NE(sol.status, SolveStatus::Infeasible);
+    EXPECT_LE(sol.dual_bound, -2 + 1e-9);  // the optimum is -2
+    EXPECT_LE(model.max_violation(sol.x), 1e-9);
+  }
+  const auto snapshot = obs::Registry::global().snapshot();
+  obs::Registry::global().enable(false);
+  obs::Registry::global().reset();
+  // Per solve: one rollback at the certify site, one more when the
+  // replayed pivot breaks the basis again under a verifying factorization.
+  const auto rollbacks = snapshot.find("simplex.refactor.singular_rollback");
+  const auto verifies = snapshot.find("simplex.refactor.verify");
+  ASSERT_NE(rollbacks, snapshot.end());
+  ASSERT_NE(verifies, snapshot.end());
+  EXPECT_GE(rollbacks->second.sum, 4.0);
+  EXPECT_GE(verifies->second.sum, 2.0);
+  // A recovery is a refactorization like any other: one cause each.
+  double by_cause = 0;
+  for (const auto& [name, value] : snapshot)
+    if (name.rfind("simplex.refactor.", 0) == 0) by_cause += value.sum;
+  EXPECT_EQ(by_cause, snapshot.at("simplex.refactorizations").sum);
 }
 
 TEST(Simplex, DualBoundMatchesObjectiveAtOptimum) {

@@ -49,9 +49,16 @@
 //   --scope per-user | overall | per-object | per-user-object
 //   --time-limit 10    wall-clock cap in seconds per PDHG solve (>= 0,
 //                      0 = none); simplex solves have no wall-clock cap
-//   --solver auto | simplex | dual | pdhg    force the LP solver choice
-//                      (dual = dual simplex; falls back to primal when no
-//                      dual-feasible start exists)
+//   --solver auto | simplex | dual | pdhg    the LP solver. auto (default)
+//                      runs the exact simplex on every LP under a fixed
+//                      work budget (pivots x LP size, ~1.2 s of pivoting)
+//                      and re-solves with PDHG when the budget runs out;
+//                      the report names the solver ("simplex->pdhg" after
+//                      a fallback, "(time cap)" / "(iteration cap)" when
+//                      PDHG stopped early). simplex, dual and pdhg force
+//                      one solver with no budget (dual = dual simplex;
+//                      falls back to primal when no dual-feasible start
+//                      exists)
 //
 // Telemetry (select, plan, bound and serve):
 //   --trace-out FILE   write solver telemetry as JSONL (spans, samples,
@@ -457,7 +464,8 @@ int cmd_serve(const Args& args) {
     pivots += outcome.pivots;
     std::cout << (outcome.incremental ? "incremental" : "rebuild")
               << (outcome.warm ? "+warm" : "") << " bound "
-              << format_number(outcome.lower_bound, 1) << " pivots "
+              << format_number(outcome.lower_bound, 1) << " ("
+              << bounds::to_string(outcome.solver) << ") pivots "
               << outcome.pivots << " -> "
               << (outcome.published ? "publish" : "hold") << " ("
               << outcome.reason << ")";
@@ -556,6 +564,10 @@ int cmd_plan(const Args& args) {
   std::cout << "\nassignment:";
   for (std::size_t n = 0; n < plan.assignment.size(); ++n)
     std::cout << ' ' << n << "->" << plan.assignment[n];
+  std::cout << "\nphase-1 bound " << format_number(plan.phase1_lower_bound, 1)
+            << " (" << bounds::to_string(plan.phase1_solver)
+            << "), phase-2 bound " << format_number(plan.phase2_lower_bound, 1)
+            << " (" << bounds::to_string(plan.phase2_solver) << ")";
   std::cout << "\n\n" << plan.selection.to_table().to_ascii() << "\n";
   if (plan.selection.has_recommendation())
     std::cout << "suggested heuristic: " << plan.selection.suggestion
@@ -584,6 +596,7 @@ int cmd_bound(const Args& args) {
               << format_number(bound.rounded_cost, 1) << " (gap "
               << format_number(bound.gap * 100, 1) << "%)";
   std::cout << " [" << bound.lp_rows << " rows, "
+            << bounds::to_string(bound.solver) << ", "
             << format_number(bound.solve_seconds, 1) << "s]\n";
   if (args.has("report")) {
     std::cout << "\nsensitivity report (duals on the QoS rows; shadow price "
