@@ -11,8 +11,9 @@
 //
 // select-q99 and select-files fan the classes out `parallelism` wide with
 // serial solves when it is above 1 (SelectorOptions::parallelism). plan
-// sets the bound engine's parallelism (PlannerOptions::bounds); its
-// phase-2 selection fans out over the hardware threads either way.
+// sets the bound engine's parallelism (PlannerOptions::bounds), which
+// only PDHG's matvecs use; its phase-2 selection fans out over the
+// hardware threads either way.
 // select-files builds the instance as the CLI does with its defaults:
 // tqos 0.99, 24 intervals, per-user scope, origin 0, a 10 s PDHG cap.
 #include <cstdio>

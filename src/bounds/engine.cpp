@@ -188,10 +188,6 @@ LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
   LpRun run;
   if (options.solver != Solver::Pdhg) {
     lp::SimplexOptions simplex = options.simplex;
-    // Thread the engine-level parallelism knob into the simplex
-    // pivot-row pricing pass (it only engages on large-row models and is
-    // bit-identical for every value, like the PDHG matvecs).
-    simplex.parallelism = options.parallelism;
     const std::size_t size = model.row_count() + model.variable_count();
     if (options.solver == Solver::Auto && simplex.max_iterations == 0)
       simplex.max_iterations = std::max<std::size_t>(

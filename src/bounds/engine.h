@@ -26,11 +26,11 @@ struct BoundOptions {
   lp::PdhgOptions pdhg;
   RoundingOptions rounding;
   bool run_rounding = true;
-  /// Worker threads for the solve (the PDHG matvec pair and the simplex
-  /// dynamic-Devex pivot-row pass on >=2000-row models):
-  /// 0 = hardware concurrency, 1 = fully serial. Purely a wall-clock knob —
-  /// bounds are bit-identical for every value (see PdhgOptions /
-  /// SimplexOptions::parallelism).
+  /// Worker threads for PDHG's matvec pair (forced PDHG, or Auto's
+  /// fallback): 0 = hardware concurrency, 1 = fully serial. Purely a
+  /// wall-clock knob — bounds are bit-identical for every value (see
+  /// PdhgOptions::parallelism). The simplex always runs on the calling
+  /// thread.
   std::size_t parallelism = 0;
 
   /// Warm start for a re-solve of a model with the same shape: the

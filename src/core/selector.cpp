@@ -96,7 +96,7 @@ SelectionReport HeuristicSelector::select(
   // The calling thread takes slots too, next to `helpers` pool workers; at
   // parallelism 1 it solves every slot in order on its own. Solving on the
   // caller also reuses its allocator arena: a workers-only fan-out measured
-  // ~2 MB more peak RSS on the case study at tqos 0.99. Nested solver
+  // ~2 MB more peak RSS on the case study at tqos 0.99. PDHG's matvec
   // parallelism is disabled when solving concurrently, so the knob caps
   // total concurrency.
   const std::size_t helpers = std::min(parallelism, slots) - 1;

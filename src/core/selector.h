@@ -28,8 +28,9 @@ struct SelectorOptions {
   /// each build and solve their own independent LP, so they fan out
   /// together: 0 = hardware concurrency, 1 = the general class first, then
   /// every class in order, serially. Reports are bit-identical for every
-  /// value; when solving concurrently each solve runs serially (no nested
-  /// pools).
+  /// value. Each simplex solve runs on its worker's thread; when solving
+  /// concurrently, bounds.parallelism (PDHG's matvecs) is forced to 1 so
+  /// no pool nests inside the fan-out.
   std::size_t parallelism = 0;
   /// Keep the full BoundDetail of every solve in SelectionReport::details
   /// (models, LP solutions with duals, rounding results). Off by default:

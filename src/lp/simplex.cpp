@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "lp/lu.h"
@@ -14,7 +13,6 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace wanplace::lp {
 
@@ -28,12 +26,6 @@ constexpr double kInf = kInfinity;
 // never trip it; drift severe enough to corrupt the basis shows up orders
 // of magnitude above this.
 constexpr double kPivotAgreementTol = 1e-5;
-
-/// Columns per block of the dynamic-Devex pivot-row pass. Fixed partition
-/// independent of the thread count, so the parallelism knob never changes
-/// which (column, block) pairs reduce together — results are bit-identical
-/// for every pool size.
-constexpr std::size_t kPricingBlock = 2048;
 
 enum class VarStatus : unsigned char { Basic, AtLower, AtUpper, FreeZero };
 
@@ -72,7 +64,8 @@ class Simplex {
 
   LpSolution run() {
     obs::Span span("simplex");
-    build();
+    build_columns();
+    reset_state();
     const LpSolution solution = use_dual() ? run_dual() : run_phases();
     if (span.active()) {
       span.attr("rows", static_cast<double>(m_));
@@ -109,7 +102,8 @@ class Simplex {
         solution.solve_seconds = watch.elapsed_seconds();
         return solution;
       }
-      build();  // infeasible warm point: restart cold from scratch
+      ++warm_infeasible_;
+      reset_state();  // infeasible warm point: restart cold from scratch
     }
     return run_cold_phases(watch);
   }
@@ -187,7 +181,7 @@ class Simplex {
       dual_mode_ = false;
       dual_abort_ = false;
       dual_shifted_ = false;
-      build();
+      reset_state();
       stall_count_ = 0;
       bland_ = false;
       return run_cold_phases(watch);
@@ -301,6 +295,14 @@ class Simplex {
     if (warm_accepted_ > 0)
       obs::counter_add("simplex.warm.accepted",
                        static_cast<double>(warm_accepted_));
+    if (warm_shape_ > 0)
+      obs::counter_add("simplex.warm.shape", static_cast<double>(warm_shape_));
+    if (warm_singular_ > 0)
+      obs::counter_add("simplex.warm.singular",
+                       static_cast<double>(warm_singular_));
+    if (warm_infeasible_ > 0)
+      obs::counter_add("simplex.warm.infeasible",
+                       static_cast<double>(warm_infeasible_));
     if (dual_solves_ > 0)
       obs::counter_add("simplex.dual.solves",
                        static_cast<double>(dual_solves_));
@@ -372,25 +374,31 @@ class Simplex {
            options_.ft_fill_factor * lu_.baseline_nonzeros() + 64;
   }
 
-  void build() {
+  /// Structural columns: transpose the model rows into CSC form. The
+  /// matrix never changes during a solve, so this runs once, in run().
+  void build_columns() {
     const std::size_t n = model_.variable_count();
     m_ = model_.row_count();
     cols_.n = n;
     cols_.m = m_;
-
-    // Structural columns: transpose the model rows into CSC form.
-    {
-      std::vector<Triplet> triplets;
-      std::size_t nnz = 0;
-      for (std::size_t r = 0; r < m_; ++r) nnz += model_.row(r).cols.size();
-      triplets.reserve(nnz);
-      for (std::size_t r = 0; r < m_; ++r) {
-        const auto& row = model_.row(r);
-        for (std::size_t i = 0; i < row.cols.size(); ++i)
-          triplets.push_back({r, row.cols[i], row.coeffs[i]});
-      }
-      cols_.structural = ColumnMajorMatrix(m_, n, std::move(triplets));
+    std::vector<Triplet> triplets;
+    std::size_t nnz = 0;
+    for (std::size_t r = 0; r < m_; ++r) nnz += model_.row(r).cols.size();
+    triplets.reserve(nnz);
+    for (std::size_t r = 0; r < m_; ++r) {
+      const auto& row = model_.row(r);
+      for (std::size_t i = 0; i < row.cols.size(); ++i)
+        triplets.push_back({r, row.cols[i], row.coeffs[i]});
     }
+    cols_.structural = ColumnMajorMatrix(m_, n, std::move(triplets));
+  }
+
+  /// Cold-start state over the columns build_columns() set up: bounds,
+  /// the structural start point, the slack/artificial basis and fresh
+  /// Devex weights. Every restart (failed warm import, infeasible warm
+  /// point, dual abort) comes back here.
+  void reset_state() {
+    const std::size_t n = cols_.n;
 
     // Bounds: structural, then slack, then artificial.
     const std::size_t total = total_columns();
@@ -489,9 +497,10 @@ class Simplex {
     verify_pivots_ = 0;
   }
 
-  /// Factorize the slack/artificial basis build() set up. Only a cold start
-  /// pays for this: a warm start factorizes the snapshot's basis instead,
-  /// so build() leaves the LU alone. (The dense inverse is already set.)
+  /// Factorize the slack/artificial basis reset_state() set up. Only a
+  /// cold start pays for this: a warm start factorizes the snapshot's basis
+  /// instead, so reset_state() leaves the LU alone. (The dense inverse is
+  /// already set.)
   void factorize_cold_basis() {
     if (!dense_basis())
       WANPLACE_CHECK(try_factorize_lu(), "singular slack basis");
@@ -667,14 +676,15 @@ class Simplex {
     }
   }
 
-  /// Devex reset check for the sparse pricing pass. The sparse pass sees
-  /// only candidate weights, so it maintains devex_wmax_ub_, an upper
-  /// bound on the largest nonbasic weight (weights only grow between
-  /// resets, and every growth happens to a candidate). When the bound is
-  /// below the threshold the dense pass would not have reset either; when
-  /// it crosses, an O(columns) exact scan (no matrix work) recovers the
-  /// true maximum, so the reset decision — and therefore the whole pivot
-  /// sequence — is identical to the dense pass's.
+  /// Devex reset rule, run after every pricing pass. devex_wmax_ub_ is an
+  /// upper bound on the largest nonbasic weight: the dense pass sets it to
+  /// the exact maximum, the sparse pass (which sees only candidate
+  /// weights) raises it to the candidates' maximum (weights only grow
+  /// between resets, and every growth happens to a candidate). Below the
+  /// threshold nothing resets; above it, an O(columns) exact scan (no
+  /// matrix work) recovers the true maximum, so the reset decision — and
+  /// therefore the whole pivot sequence — does not depend on which pass
+  /// ran.
   void maybe_reset_devex() {
     if (devex_wmax_ub_ <= options_.devex_reset_threshold) return;
     double exact = 0;
@@ -700,8 +710,7 @@ class Simplex {
         columns[p].push_back({static_cast<std::uint32_t>(r), v});
       });
     }
-    if (!lu_.factorize(m_, columns, options_.lu_pivot_threshold))
-      return false;
+    if (!lu_.factorize(m_, columns)) return false;
     good_basis_ = basis_;
     good_status_ = status_;
     good_iteration_ = iterations_;
@@ -818,22 +827,30 @@ class Simplex {
 
   /// Attempt to start from the snapshot in options_.warm_start. On success
   /// the basis is factorized and the basic values recomputed under the
-  /// *current* model's bounds. On any failure (no/empty snapshot, shape
-  /// mismatch, dense basis, singular for this model) the solver state is
-  /// left as build() set it up and false is returned; the cold start then
-  /// factorizes that basis.
+  /// *current* model's bounds. On any failure (no/empty snapshot, dense
+  /// basis, shape mismatch, singular for this model) the solver state is
+  /// left as reset_state() set it up and false is returned; the cold start
+  /// then factorizes that basis. Every attempt ends in exactly one of
+  /// warm_shape_, warm_singular_, warm_infeasible_ (run_phases) or
+  /// warm_accepted_ (the callers).
   bool import_warm_start() {
     const BasisSnapshot* snap = options_.warm_start;
     if (snap == nullptr || snap->empty() || dense_basis()) return false;
     ++warm_attempts_;
-    if (!snap->compatible(cols_.n, m_)) return false;
+    if (!snap->compatible(cols_.n, m_)) {
+      ++warm_shape_;
+      return false;
+    }
     if (!apply_snapshot(*snap)) {
-      build();  // partial import mutated the state: reset for a cold start
+      reset_state();  // a partial import mutated the state
       return false;
     }
     return true;
   }
 
+  /// Load the snapshot's statuses and basis; false (counted as a shape or
+  /// singular outcome) when the basis list is malformed or the LU rejects
+  /// it.
   bool apply_snapshot(const BasisSnapshot& snap) {
     const std::size_t nm = cols_.n + m_;
     // Nonbasic placement first: every structural and slack column to its
@@ -856,13 +873,19 @@ class Simplex {
         j = nm + p;
       } else {
         j = snap.basis[p];
-        if (j >= nm || seen[j]) return false;
+        if (j >= nm || seen[j]) {
+          ++warm_shape_;
+          return false;
+        }
         seen[j] = true;
       }
       basis_[p] = j;
       status_[j] = VarStatus::Basic;
     }
-    if (!try_factorize_lu()) return false;
+    if (!try_factorize_lu()) {
+      ++warm_singular_;
+      return false;
+    }
     recompute_basic_values();
     return true;
   }
@@ -919,7 +942,7 @@ class Simplex {
   /// phase-2 cleanup under the true costs — `dual_shifted_` records that
   /// debt. Bounds are untouched, so an infeasibility certificate found by
   /// the shifted dual iteration remains valid for the true problem.
-  bool make_dual_feasible() {
+  void make_dual_feasible() {
     const double tol = options_.tolerance;
     bool flipped = false;
     bool shifted = false;
@@ -951,7 +974,6 @@ class Simplex {
     if (shifted) dual_shifted_ = true;
     if (flipped) recompute_basic_values();
     if (flipped || shifted) objective_ = phase_objective();
-    return true;
   }
 
   struct PricingChoice {
@@ -1017,16 +1039,6 @@ class Simplex {
     return choice;
   }
 
-  /// Lazily created pool for the pivot-row pass; engaged only on models
-  /// with enough rows for the pass to amortize the fork/join.
-  util::ThreadPool* pricing_pool() {
-    if (options_.parallelism == 1) return nullptr;
-    if (m_ < options_.parallel_pricing_rows) return nullptr;
-    if (!pool_)
-      pool_ = std::make_unique<util::ThreadPool>(options_.parallelism);
-    return pool_.get();
-  }
-
   /// The fused dynamic-Devex per-pivot pass. pivot_row_ must hold
   /// rho~ = (B_old^{-T} e_p) / alpha_q, the pivot row of the updated
   /// inverse. For every nonbasic column with alpha~_j = rho~ . A_j:
@@ -1037,81 +1049,45 @@ class Simplex {
   /// The leaving variable (nonbasic by now, cached d = 0, alpha~ = 1/alpha_q)
   /// gets its textbook values d_l = -d_q/alpha_q and
   /// gamma_l >= gamma_q/alpha_q^2 from the same formulas — no special case.
-  /// Resets the reference framework when the largest weight drifts past
-  /// the threshold. Column blocks are fixed-size, per-column writes are
-  /// disjoint and the block maxima combine serially, so the result is
-  /// bit-identical for any pool size.
+  /// A sparse pivot row visits only the candidate columns: every other
+  /// column has alpha~_j = 0 and cannot change, and the candidates' dots
+  /// are the same full cols_.dot values (the leaving column is always a
+  /// candidate, since alpha~_l != 0 forces support overlap with the
+  /// pattern). A dense pivot row visits every column and so knows the
+  /// exact nonbasic maximum. Either way maybe_reset_devex() then decides
+  /// whether the reference framework resets.
   void update_pricing_after_pivot(std::size_t entering, double reduced) {
     const double gamma_q = devex_weight_[entering];
-    if (rho_pattern_valid_) {
-      // Sparse pivot row: only candidate columns can have a nonzero
-      // alpha~_j, so only they can change. Their dots are the same full
-      // cols_.dot the dense pass computes — identical values, a fraction
-      // of the FLOPs. The leaving column is always a candidate (its
-      // alpha~ = 1/alpha_q != 0 forces support overlap with the pattern).
-      double wmax = 0;
-      for_each_rho_candidate([&](std::size_t j) {
-        if (status_[j] == VarStatus::Basic) return;
-        const double t = cols_.dot(j, pivot_row_);
-        if (t != 0) {
-          d_[j] -= reduced * t;
-          const double cand = t * t * gamma_q;
-          if (cand > devex_weight_[j]) devex_weight_[j] = cand;
-        }
-        wmax = std::max(wmax, devex_weight_[j]);
-      });
-      d_[entering] = 0.0;
-      devex_wmax_ub_ = std::max(devex_wmax_ub_, wmax);
-      maybe_reset_devex();
-      return;
-    }
-    const std::size_t total = total_columns();
-    const std::size_t blocks = (total + kPricingBlock - 1) / kPricingBlock;
-    block_max_.assign(blocks, 0.0);
-    const auto pass = [&](std::size_t b) {
-      const std::size_t begin = b * kPricingBlock;
-      const std::size_t end = std::min(total, begin + kPricingBlock);
-      double wmax = 0;
-      for (std::size_t j = begin; j < end; ++j) {
-        if (status_[j] == VarStatus::Basic) continue;
-        const double t = cols_.dot(j, pivot_row_);
-        if (t != 0) {
-          d_[j] -= reduced * t;
-          const double cand = t * t * gamma_q;
-          if (cand > devex_weight_[j]) devex_weight_[j] = cand;
-        }
-        wmax = std::max(wmax, devex_weight_[j]);
-      }
-      block_max_[b] = wmax;
-    };
-    if (util::ThreadPool* pool = pricing_pool()) {
-      pool->parallel_for(blocks, pass);
-    } else {
-      for (std::size_t b = 0; b < blocks; ++b) pass(b);
-    }
-    d_[entering] = 0.0;
     double wmax = 0;
-    for (const double w : block_max_) wmax = std::max(wmax, w);
-    if (wmax > options_.devex_reset_threshold) {
-      ++devex_resets_;
-      std::fill(devex_weight_.begin(), devex_weight_.end(), 1.0);
-      devex_wmax_ub_ = 1.0;
+    const auto update = [&](std::size_t j) {
+      if (status_[j] == VarStatus::Basic) return;
+      const double t = cols_.dot(j, pivot_row_);
+      if (t != 0) {
+        d_[j] -= reduced * t;
+        const double cand = t * t * gamma_q;
+        if (cand > devex_weight_[j]) devex_weight_[j] = cand;
+      }
+      wmax = std::max(wmax, devex_weight_[j]);
+    };
+    if (rho_pattern_valid_) {
+      for_each_rho_candidate(update);
+      devex_wmax_ub_ = std::max(devex_wmax_ub_, wmax);
     } else {
+      for (std::size_t j = 0; j < total_columns(); ++j) update(j);
       devex_wmax_ub_ = wmax;
     }
+    d_[entering] = 0.0;
+    maybe_reset_devex();
   }
 
   /// alpha_j = rho . A_j for every nonbasic column — the pivot row of the
   /// tableau, needed wholesale by the dual ratio test and the incremental
-  /// reduced-cost update. Blocked over the same fixed partition as the
-  /// primal pricing pass; per-column writes are independent, so the result
-  /// is bit-identical for any pool size.
+  /// reduced-cost update. A sparse rho leaves every non-candidate column
+  /// with an exactly-zero dot, so the row is zeroed and only the
+  /// candidates are filled in (same cols_.dot values, far fewer of them).
   void compute_alpha_row() {
     const std::size_t total = total_columns();
     if (rho_pattern_valid_) {
-      // Sparse rho: non-candidate columns have an exactly-zero dot, which
-      // the dense pass would store as 0.0 anyway — zero the row and fill
-      // in only the candidates (same cols_.dot values, far fewer of them).
       alpha_.assign(total, 0.0);
       for_each_rho_candidate([&](std::size_t j) {
         if (status_[j] != VarStatus::Basic) alpha_[j] = cols_.dot(j, rho_);
@@ -1119,19 +1095,8 @@ class Simplex {
       return;
     }
     alpha_.resize(total);
-    const std::size_t blocks = (total + kPricingBlock - 1) / kPricingBlock;
-    const auto pass = [&](std::size_t b) {
-      const std::size_t begin = b * kPricingBlock;
-      const std::size_t end = std::min(total, begin + kPricingBlock);
-      for (std::size_t j = begin; j < end; ++j)
-        alpha_[j] =
-            status_[j] == VarStatus::Basic ? 0.0 : cols_.dot(j, rho_);
-    };
-    if (util::ThreadPool* pool = pricing_pool()) {
-      pool->parallel_for(blocks, pass);
-    } else {
-      for (std::size_t b = 0; b < blocks; ++b) pass(b);
-    }
+    for (std::size_t j = 0; j < total; ++j)
+      alpha_[j] = status_[j] == VarStatus::Basic ? 0.0 : cols_.dot(j, rho_);
   }
 
   /// Dual simplex main loop. Invariants: the cached reduced costs d_ stay
@@ -1203,7 +1168,7 @@ class Simplex {
         if (duals_clean_) return SolveStatus::Optimal;
         note_refactor(RefactorCause::Certify);
         refactorize();
-        if (!refresh_dual_state()) return dual_stop();
+        refresh_dual_state();
         pivots_since_refactor = 0;
         continue;
       }
@@ -1284,7 +1249,7 @@ class Simplex {
         if (duals_clean_) return SolveStatus::Infeasible;
         note_refactor(RefactorCause::Certify);
         refactorize();
-        if (!refresh_dual_state()) return dual_stop();
+        refresh_dual_state();
         pivots_since_refactor = 0;
         continue;
       }
@@ -1364,7 +1329,7 @@ class Simplex {
           note_refactor(drifted ? RefactorCause::Drift
                                 : RefactorCause::Agreement);
           refactorize();
-          if (!refresh_dual_state()) return dual_stop();
+          refresh_dual_state();
           pivots_since_refactor = 0;
           continue;
         }
@@ -1448,7 +1413,7 @@ class Simplex {
         ++refactorizations_;
         if (try_factorize_lu()) {
           recompute_basic_values();
-          if (!refresh_dual_state()) return dual_stop();
+          refresh_dual_state();
           pivots_since_refactor = 0;
         } else {
           note_rollback();
@@ -1465,7 +1430,7 @@ class Simplex {
           } else {
             restore_good_basis();
           }
-          if (!refresh_dual_state()) return dual_stop();
+          refresh_dual_state();
           pivots_since_refactor = 0;
           continue;
         }
@@ -1490,7 +1455,7 @@ class Simplex {
         if (!bland_) {
           note_refactor(RefactorCause::Bland);
           refactorize();
-          if (!refresh_dual_state()) return dual_stop();
+          refresh_dual_state();
           pivots_since_refactor = 0;
           bland_ = true;
         } else if (stall_count_ > 8 * options_.stall_limit) {
@@ -1503,12 +1468,10 @@ class Simplex {
 
   /// Refresh incremental state from fresh factors, then re-establish the
   /// dual loop's invariant: flipping (or cost-shifting) any nonbasic whose
-  /// recomputed reduced cost has the wrong sign (drift repair). Always
-  /// true since shifts cover the unflippable columns; kept boolean for the
-  /// call sites' abort plumbing.
-  bool refresh_dual_state() {
+  /// recomputed reduced cost has the wrong sign (drift repair).
+  void refresh_dual_state() {
     refresh_incremental_state();
-    return make_dual_feasible();
+    make_dual_feasible();
   }
 
   /// Abandon the dual method mid-loop: run_dual reruns the cold primal.
@@ -1865,7 +1828,6 @@ class Simplex {
   std::vector<double> d_;            // cached reduced costs
   std::vector<double> devex_weight_; // Devex reference weights
   std::vector<double> pivot_row_;    // rho_/pivot for the pricing pass
-  std::vector<double> block_max_;    // per-block weight maxima
   std::vector<double> alpha_;        // dual: tableau pivot row rho . A_j
   std::vector<double> dual_weight_;  // dual: Devex row reference weights
   std::vector<double> flip_rhs_;     // dual: batched bound-flip FTRAN rhs
@@ -1880,7 +1842,6 @@ class Simplex {
   /// sparse pricing pass reproduces the dense pass's reset decisions
   /// exactly (see maybe_reset_devex).
   double devex_wmax_ub_ = 1.0;
-  std::unique_ptr<util::ThreadPool> pool_;
   double objective_ = 0;             // incrementally maintained phase obj
   bool duals_clean_ = false;         // y_ recomputed since the last pivot?
   bool dual_mode_ = false;           // running the dual method?
@@ -1912,6 +1873,9 @@ class Simplex {
   std::size_t bound_flips_ = 0;
   std::size_t warm_attempts_ = 0;
   std::size_t warm_accepted_ = 0;
+  std::size_t warm_shape_ = 0;       // wrong dimensions or basis list
+  std::size_t warm_singular_ = 0;    // the LU rejected the basis
+  std::size_t warm_infeasible_ = 0;  // primal import outside its bounds
   std::size_t dual_solves_ = 0;
   std::size_t dual_fallbacks_ = 0;
   std::size_t feasibility_lost_ = 0;

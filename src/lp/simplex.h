@@ -15,9 +15,11 @@
 // incrementally across pivots (refreshed at every refactorization), and
 // pricing is dynamic Devex — reference weights updated from the pivot row
 // each iteration, with the reference framework reset when the weights
-// drift too far. Before declaring optimality after incremental updates,
-// the solver refactorizes and re-prices from scratch, so termination is
-// always certified against freshly computed duals.
+// drift too far. The pivot-row pass visits only the columns that meet a
+// sparse BTRAN result's rows, or every column otherwise, on the calling
+// thread. Before declaring optimality after incremental updates, the solver
+// refactorizes and re-prices from scratch, so termination is always
+// certified against freshly computed duals.
 //
 // Method::Dual runs the dual simplex instead: starting from a dual-feasible
 // basis (a supplied BasisSnapshot, repaired by flipping boxed nonbasics
@@ -103,9 +105,6 @@ struct SimplexOptions {
   /// the basis is refactorized and the iteration retried on fresh numbers
   /// before the pivot is trusted.
   double lu_stability_tolerance = 1e-7;
-  /// ForrestTomlin only: Markowitz threshold-pivoting factor in (0, 1]; a
-  /// pivot must reach this fraction of its column's largest active entry.
-  double lu_pivot_threshold = 0.1;
 
   /// ForrestTomlin only: RHS-density cutoff for the hyper-sparse
   /// FTRAN/BTRAN kernels. A solve whose tracked nonzero pattern stays
@@ -115,15 +114,6 @@ struct SimplexOptions {
   /// whenever the pattern allows. Both paths compute bit-identical
   /// nonzero values, so this knob trades time only, never answers.
   double sparse_density_threshold = 0.1;
-
-  /// Worker threads for the dynamic-Devex pivot-row pass: 0 = hardware
-  /// concurrency, 1 = fully serial (default). Only engages on models with
-  /// at least parallel_pricing_rows rows — below that the pass is too
-  /// cheap to amortize the fork/join. Fixed block partition independent of
-  /// the thread count: results are bit-identical for every value.
-  std::size_t parallelism = 1;
-  /// Row-count floor for engaging the pricing-pass thread pool.
-  std::size_t parallel_pricing_rows = 2000;
 };
 
 /// Solve min c^T x subject to the model's rows and bounds.

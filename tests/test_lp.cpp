@@ -911,37 +911,6 @@ TEST(SimplexDevex, FillGuardForcesRefactorizationsAndStaysExact) {
   }
 }
 
-TEST(SimplexDevex, ParallelPricingPassBitIdentical) {
-  // The pivot-row pass partitions columns into fixed blocks, so any
-  // parallelism value must produce bit-identical pivots, objectives and
-  // solutions. parallel_pricing_rows=1 forces the pool to engage even on
-  // these small models.
-  for (int seed = 0; seed < 6; ++seed) {
-    Rng rng(7900 + seed);
-    auto lp = random_feasible_lp(rng, 18, 14, /*with_equalities=*/true);
-    SimplexOptions serial;  // parallelism = 1 (default)
-    const auto reference = solve_simplex(lp.model, serial);
-    ASSERT_EQ(reference.status, SolveStatus::Optimal) << "seed " << seed;
-    for (const std::size_t threads :
-         {std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
-      SimplexOptions parallel;
-      parallel.parallelism = threads;
-      parallel.parallel_pricing_rows = 1;
-      const auto sol = solve_simplex(lp.model, parallel);
-      ASSERT_EQ(sol.status, SolveStatus::Optimal)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(sol.iterations, reference.iterations)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(sol.objective, reference.objective)
-          << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(sol.x.size(), reference.x.size());
-      for (std::size_t j = 0; j < sol.x.size(); ++j)
-        EXPECT_EQ(sol.x[j], reference.x[j])
-            << "seed " << seed << " threads " << threads << " var " << j;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PDHG-specific behaviour.
 
@@ -1127,6 +1096,68 @@ TEST(SimplexDual, WarmPrimalAcceptsFeasibleBasis) {
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, cold.objective, 1e-9);
   EXPECT_LE(sol.iterations, cold.iterations);
+}
+
+TEST(SimplexDual, WarmImportOutcomesAreCounted) {
+  // One solve per outcome of a warm import; every attempt lands in exactly
+  // one outcome counter, and every solve still reaches the cold optimum.
+  const auto model = dual_fixture();
+  const auto first = solve_simplex(model);
+  ASSERT_EQ(first.status, SolveStatus::Optimal);
+
+  BasisSnapshot wrong_dims = first.basis;
+  wrong_dims.rows += 1;
+  BasisSnapshot duplicate = first.basis;
+  duplicate.basis.assign(model.row_count(), 0);  // x0 twice
+  // Columns (1, 2) and (2, 4): dependent, so a basis of both is singular.
+  LpModel dependent;
+  const auto a = dependent.add_variable(0, 10, -1);
+  const auto b = dependent.add_variable(0, 10, -1);
+  dependent.add_row(RowType::Le, 4, {a, b}, {1, 2});
+  dependent.add_row(RowType::Le, 8, {a, b}, {2, 4});
+  BasisSnapshot singular = solve_simplex(dependent).basis;
+  singular.status = {BasisSnapshot::Basic, BasisSnapshot::Basic,
+                     BasisSnapshot::AtLower, BasisSnapshot::AtLower};
+  singular.basis = {0, 1};
+  auto tightened = dual_fixture();
+  tightened.set_bounds(0, 0, 2);  // the old basic point leaves its bounds
+
+  obs::Registry::global().enable(true);
+  obs::Registry::global().reset();
+  const auto solve = [](const LpModel& target, const BasisSnapshot& snap,
+                        SimplexOptions::Method method) {
+    SimplexOptions options;
+    options.method = method;
+    options.warm_start = &snap;
+    const auto sol = solve_simplex(target, options);
+    const auto cold = solve_simplex(target);
+    EXPECT_EQ(sol.status, cold.status);
+    EXPECT_NEAR(sol.objective, cold.objective, 1e-9);
+  };
+  using Method = SimplexOptions::Method;
+  solve(model, first.basis, Method::Primal);  // accepted
+  solve(model, first.basis, Method::Dual);    // accepted
+  solve(model, wrong_dims, Method::Primal);   // shape
+  solve(model, duplicate, Method::Dual);      // shape
+  solve(dependent, singular, Method::Primal);  // singular
+  solve(tightened, first.basis, Method::Primal);  // infeasible
+  const auto snapshot = obs::Registry::global().snapshot();
+  obs::Registry::global().enable(false);
+  obs::Registry::global().reset();
+
+  const auto count = [&](const char* name) {
+    const auto it = snapshot.find(name);
+    return it == snapshot.end() ? 0.0 : it->second.sum;
+  };
+  EXPECT_EQ(count("simplex.warm.attempts"), 6.0);
+  EXPECT_EQ(count("simplex.warm.accepted"), 2.0);
+  EXPECT_EQ(count("simplex.warm.shape"), 2.0);
+  EXPECT_EQ(count("simplex.warm.singular"), 1.0);
+  EXPECT_EQ(count("simplex.warm.infeasible"), 1.0);
+  EXPECT_EQ(count("simplex.warm.attempts"),
+            count("simplex.warm.accepted") + count("simplex.warm.shape") +
+                count("simplex.warm.singular") +
+                count("simplex.warm.infeasible"));
 }
 
 }  // namespace
