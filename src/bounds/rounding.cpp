@@ -129,11 +129,11 @@ class Rounder {
     return reward;
   }
 
-  /// Creation-cost sum over the (m,k) interval run [first-1 .. last+1] under
-  /// hypothetical values supplied by `probe`.
+  /// Creation-cost sum over one (m,k) interval run [first-1 .. last+1]
+  /// under hypothetical values supplied by `probe`.
   template <typename Probe>
-  double creation_sum(std::size_t m, std::size_t k, std::size_t first,
-                      std::size_t last, Probe&& probe) const {
+  double creation_sum(std::size_t first, std::size_t last,
+                      Probe&& probe) const {
     double sum = 0;
     const std::size_t hi = std::min(last + 1, i_count_ - 1);
     for (std::size_t i = first; i <= hi; ++i) {
@@ -173,8 +173,8 @@ class Rounder {
       return value_(m, i, k);
     };
     const double create_delta =
-        creation_sum(m, k, first, last, new_probe) -
-        creation_sum(m, k, first, last, old_probe);
+        creation_sum(first, last, new_probe) -
+        creation_sum(first, last, old_probe);
     return instance_.storage_alpha(m) * storage + costs.beta * create_delta;
   }
 
@@ -185,8 +185,8 @@ class Rounder {
     const auto new_probe = [&](std::size_t j) {
       return j == i ? 0.0 : value_(m, j, k);
     };
-    const double create_delta = creation_sum(m, k, i, i, new_probe) -
-                                creation_sum(m, k, i, i, old_probe);
+    const double create_delta = creation_sum(i, i, new_probe) -
+                                creation_sum(i, i, old_probe);
     return -instance_.storage_alpha(m) * value_(m, i, k) +
            costs.beta * create_delta;
   }

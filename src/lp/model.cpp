@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
+#include "obs/metrics.h"
 #include "util/check.h"
+#include "util/stopwatch.h"
 
 namespace wanplace::lp {
 
@@ -78,16 +82,59 @@ void LpModel::set_objective(std::size_t j, double objective) {
   objective_[j] = objective;
 }
 
-SparseMatrix LpModel::matrix() const {
-  std::vector<Triplet> triplets;
-  std::size_t nnz = 0;
-  for (const auto& row : rows_) nnz += row.cols.size();
-  triplets.reserve(nnz);
-  for (std::size_t r = 0; r < rows_.size(); ++r)
-    for (std::size_t i = 0; i < rows_[r].cols.size(); ++i)
-      triplets.push_back({r, rows_[r].cols[i], rows_[r].coeffs[i]});
-  return SparseMatrix(rows_.size(), variable_count(), std::move(triplets));
+SparseMatrix LpModel::columns() const {
+  std::optional<Stopwatch> watch;
+  if (obs::metrics_enabled()) watch.emplace();
+  // Counting pass: column sizes (duplicates included), then their prefix
+  // sums as each column's first slot.
+  const std::size_t n = variable_count();
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const auto& row : rows_)
+    for (std::size_t c : row.cols) ++start[c + 1];
+  for (std::size_t c = 0; c < n; ++c) start[c + 1] += start[c];
+
+  // Scatter the rows in ascending order, so each column lists its rows
+  // ascending; a repeat of (r, c) lands on the column's last entry and is
+  // summed there, in the row's order.
+  std::vector<std::size_t> row_index(start[n]);
+  std::vector<double> values(start[n]);
+  std::vector<std::size_t> end(start.begin(), start.end() - 1);
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const auto& row = rows_[r];
+    for (std::size_t i = 0; i < row.cols.size(); ++i) {
+      std::size_t& at = end[row.cols[i]];
+      if (at > start[row.cols[i]] && row_index[at - 1] == r) {
+        values[at - 1] += row.coeffs[i];
+      } else {
+        row_index[at] = r;
+        values[at] = row.coeffs[i];
+        ++at;
+      }
+    }
+  }
+
+  // Compact: close the gaps duplicates left and drop zero sums.
+  std::size_t out = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    const std::size_t begin = start[c];
+    start[c] = out;
+    for (std::size_t i = begin; i < end[c]; ++i) {
+      if (values[i] == 0) continue;
+      row_index[out] = row_index[i];
+      values[out] = values[i];
+      ++out;
+    }
+  }
+  start[n] = out;
+  row_index.resize(out);
+  values.resize(out);
+  SparseMatrix columns(rows_.size(), std::move(start), std::move(row_index),
+                       std::move(values));
+  if (watch) obs::histogram_record("lp.columns_s", watch->elapsed_seconds());
+  return columns;
 }
+
+SparseMatrix LpModel::matrix() const { return columns().transposed(); }
 
 double LpModel::objective_value(const std::vector<double>& x) const {
   WANPLACE_REQUIRE(x.size() == variable_count(), "point arity mismatch");

@@ -4,9 +4,11 @@
 //   subject to  row_i: a_i^T x  (>=|=|<=)  rhs_i      for every row
 //               lo_j <= x_j <= up_j                   for every variable
 //
-// Models are assembled incrementally (add_variable / add_row) and frozen
-// into CSR form on demand. Row names are optional and used only for
-// diagnostics (the sensitivity report names QoS rows by them).
+// Models are assembled incrementally (add_variable / add_row) and
+// compressed on demand, without a sort: columns() runs one counting pass
+// over the rows into the column view the simplex walks, and matrix() is its
+// counting transpose, the row view PDHG uses. Row names are optional and
+// used only for diagnostics (the sensitivity report names QoS rows by them).
 #pragma once
 
 #include <cstdint>
@@ -81,7 +83,14 @@ class LpModel {
   void set_row(std::size_t r, double rhs, const std::vector<std::size_t>& cols,
                const std::vector<double>& coeffs);
 
-  /// Constraint matrix in CSR form (rows in insertion order).
+  /// A^T in CSR form: row j lists column j of A as (row, coefficient),
+  /// rows ascending. Repeated columns within a row are summed in the row's
+  /// order and zero sums dropped. One counting pass over the rows; timed
+  /// as the `lp.columns_s` histogram while metrics are on.
+  SparseMatrix columns() const;
+
+  /// A in CSR form (rows in insertion order, columns ascending within each
+  /// row): the transpose of columns().
   SparseMatrix matrix() const;
 
   /// Objective value of a point (no feasibility check).

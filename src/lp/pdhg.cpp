@@ -36,27 +36,31 @@ Canonical canonicalize(const LpModel& model) {
   const std::size_t rows = model.row_count();
   const std::size_t cols = model.variable_count();
 
-  std::vector<Triplet> triplets;
   Canonical canon;
+  canon.matrix = model.matrix();
   canon.rhs.resize(rows);
   canon.is_eq.resize(rows);
   canon.negated.resize(rows);
+  std::vector<double> sign(rows);
   for (std::size_t r = 0; r < rows; ++r) {
     const auto& row = model.row(r);
-    const double sign = row.type == RowType::Le ? -1.0 : 1.0;
+    sign[r] = row.type == RowType::Le ? -1.0 : 1.0;
     canon.negated[r] = row.type == RowType::Le;
     canon.is_eq[r] = row.type == RowType::Eq;
-    canon.rhs[r] = sign * row.rhs;
-    for (std::size_t i = 0; i < row.cols.size(); ++i)
-      triplets.push_back({r, row.cols[i], sign * row.coeffs[i]});
+    canon.rhs[r] = sign[r] * row.rhs;
   }
 
-  const ScalingResult scaling = ruiz_scaling(rows, cols, triplets);
+  // Ruiz reads only magnitudes, so it runs on A before the Le rows are
+  // negated; negation is exact, so scaling by sign x row_scale is
+  // bit-identical to scaling the negated rows.
+  const ScalingResult scaling = ruiz_scaling(canon.matrix);
   canon.row_scale = scaling.row_scale;
   canon.col_scale = scaling.col_scale;
-  for (auto& t : triplets)
-    t.value *= scaling.row_scale[t.row] * scaling.col_scale[t.col];
-  for (std::size_t r = 0; r < rows; ++r) canon.rhs[r] *= scaling.row_scale[r];
+  for (std::size_t r = 0; r < rows; ++r) {
+    canon.rhs[r] *= scaling.row_scale[r];
+    sign[r] *= scaling.row_scale[r];
+  }
+  canon.matrix.scale(sign, scaling.col_scale);
 
   canon.cost.resize(cols);
   canon.lower.resize(cols);
@@ -67,7 +71,6 @@ Canonical canonicalize(const LpModel& model) {
     canon.lower[j] = model.lower(j) / scaling.col_scale[j];
     canon.upper[j] = model.upper(j) / scaling.col_scale[j];
   }
-  canon.matrix = SparseMatrix(rows, cols, std::move(triplets));
   return canon;
 }
 

@@ -6,9 +6,9 @@
 
 namespace wanplace::lp {
 
-ScalingResult ruiz_scaling(std::size_t rows, std::size_t cols,
-                           const std::vector<Triplet>& triplets,
-                           int iterations) {
+ScalingResult ruiz_scaling(const SparseMatrix& matrix, int iterations) {
+  const std::size_t rows = matrix.rows();
+  const std::size_t cols = matrix.cols();
   ScalingResult result;
   result.row_scale.assign(rows, 1.0);
   result.col_scale.assign(cols, 1.0);
@@ -17,11 +17,13 @@ ScalingResult ruiz_scaling(std::size_t rows, std::size_t cols,
   for (int it = 0; it < iterations; ++it) {
     std::fill(row_max.begin(), row_max.end(), 0.0);
     std::fill(col_max.begin(), col_max.end(), 0.0);
-    for (const auto& t : triplets) {
-      const double v = std::abs(t.value) * result.row_scale[t.row] *
-                       result.col_scale[t.col];
-      row_max[t.row] = std::max(row_max[t.row], v);
-      col_max[t.col] = std::max(col_max[t.col], v);
+    for (std::size_t r = 0; r < rows; ++r) {
+      matrix.for_row(r, [&](std::size_t c, double value) {
+        const double v =
+            std::abs(value) * result.row_scale[r] * result.col_scale[c];
+        row_max[r] = std::max(row_max[r], v);
+        col_max[c] = std::max(col_max[c], v);
+      });
     }
     bool changed = false;
     for (std::size_t r = 0; r < rows; ++r) {

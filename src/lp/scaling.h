@@ -17,10 +17,8 @@ struct ScalingResult {
   std::vector<double> col_scale;  // multiply column j by col_scale[j]
 };
 
-/// Compute Ruiz scaling factors for the triplet matrix (rows x cols).
-/// `iterations` of 10 is enough to equilibrate within a few percent.
-ScalingResult ruiz_scaling(std::size_t rows, std::size_t cols,
-                           const std::vector<Triplet>& triplets,
-                           int iterations = 10);
+/// Compute Ruiz scaling factors for `matrix`. `iterations` of 10 is
+/// enough to equilibrate within a few percent.
+ScalingResult ruiz_scaling(const SparseMatrix& matrix, int iterations = 10);
 
 }  // namespace wanplace::lp

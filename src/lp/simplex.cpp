@@ -29,10 +29,11 @@ constexpr double kPivotAgreementTol = 1e-5;
 
 enum class VarStatus : unsigned char { Basic, AtLower, AtUpper, FreeZero };
 
-/// Column views of [A | slacks | artificials]: structural columns as a CSC
-/// matrix, slack and artificial columns synthesized on the fly.
+/// Column views of [A | slacks | artificials]: structural columns as the
+/// model's column view (row j = column j of A), slack and artificial
+/// columns synthesized on the fly.
 struct Columns {
-  ColumnMajorMatrix structural;
+  SparseMatrix structural;
   std::size_t n = 0;  // structural count
   std::size_t m = 0;  // row count
   std::vector<double> art_sign;  // per-row artificial coefficient (+1/-1)
@@ -41,7 +42,7 @@ struct Columns {
   template <typename Fn>
   void for_column(std::size_t j, Fn&& fn) const {
     if (j < n) {
-      structural.for_column(j, fn);
+      structural.for_row(j, fn);
     } else if (j < n + m) {
       fn(j - n, 1.0);  // slack
     } else {
@@ -51,7 +52,7 @@ struct Columns {
 
   // Dot of column j with a dense row-indexed vector.
   double dot(std::size_t j, const std::vector<double>& v) const {
-    if (j < n) return structural.col_dot(j, v);
+    if (j < n) return structural.row_dot(j, v);
     if (j < n + m) return v[j - n];
     return v[j - n - m] * art_sign[j - n - m];
   }
@@ -374,23 +375,13 @@ class Simplex {
            options_.ft_fill_factor * lu_.baseline_nonzeros() + 64;
   }
 
-  /// Structural columns: transpose the model rows into CSC form. The
-  /// matrix never changes during a solve, so this runs once, in run().
+  /// Structural columns: the model's column view. The matrix never
+  /// changes during a solve, so this runs once, in run().
   void build_columns() {
-    const std::size_t n = model_.variable_count();
     m_ = model_.row_count();
-    cols_.n = n;
+    cols_.n = model_.variable_count();
     cols_.m = m_;
-    std::vector<Triplet> triplets;
-    std::size_t nnz = 0;
-    for (std::size_t r = 0; r < m_; ++r) nnz += model_.row(r).cols.size();
-    triplets.reserve(nnz);
-    for (std::size_t r = 0; r < m_; ++r) {
-      const auto& row = model_.row(r);
-      for (std::size_t i = 0; i < row.cols.size(); ++i)
-        triplets.push_back({r, row.cols[i], row.coeffs[i]});
-    }
-    cols_.structural = ColumnMajorMatrix(m_, n, std::move(triplets));
+    cols_.structural = model_.columns();
   }
 
   /// Cold-start state over the columns build_columns() set up: bounds,
@@ -456,7 +447,7 @@ class Simplex {
     std::vector<double> activity(m_, 0);
     for (std::size_t j = 0; j < n; ++j) {
       if (x_[j] == 0) continue;
-      cols_.structural.for_column(
+      cols_.structural.for_row(
           j, [&](std::size_t r, double v) { activity[r] += v * x_[j]; });
     }
 

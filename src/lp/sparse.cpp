@@ -2,80 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace wanplace::lp {
 
-ColumnMajorMatrix::ColumnMajorMatrix(std::size_t rows, std::size_t cols,
-                                     std::vector<Triplet> triplets)
-    : rows_(rows), cols_(cols) {
-  for (const auto& t : triplets) {
-    WANPLACE_REQUIRE(t.row < rows && t.col < cols,
-                     "triplet index out of range");
-  }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.col != b.col ? a.col < b.col : a.row < b.row;
-            });
-
-  col_start_.assign(cols + 1, 0);
-  row_index_.reserve(triplets.size());
-  values_.reserve(triplets.size());
-  std::size_t idx = 0;
-  for (std::size_t c = 0; c < cols; ++c) {
-    col_start_[c] = values_.size();
-    while (idx < triplets.size() && triplets[idx].col == c) {
-      const std::size_t row = triplets[idx].row;
-      double sum = 0;
-      while (idx < triplets.size() && triplets[idx].col == c &&
-             triplets[idx].row == row) {
-        sum += triplets[idx].value;
-        ++idx;
-      }
-      if (sum != 0) {
-        row_index_.push_back(row);
-        values_.push_back(sum);
-      }
-    }
-  }
-  col_start_[cols] = values_.size();
-}
-
-SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
-                           std::vector<Triplet> triplets)
-    : rows_(rows), cols_(cols) {
-  for (const auto& t : triplets) {
-    WANPLACE_REQUIRE(t.row < rows && t.col < cols,
-                     "triplet index out of range");
-  }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-
-  row_start_.assign(rows + 1, 0);
-  col_index_.reserve(triplets.size());
-  values_.reserve(triplets.size());
-  std::size_t idx = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    row_start_[r] = values_.size();
-    while (idx < triplets.size() && triplets[idx].row == r) {
-      const std::size_t col = triplets[idx].col;
-      double sum = 0;
-      while (idx < triplets.size() && triplets[idx].row == r &&
-             triplets[idx].col == col) {
-        sum += triplets[idx].value;
-        ++idx;
-      }
-      if (sum != 0) {
-        col_index_.push_back(col);
-        values_.push_back(sum);
-      }
-    }
-  }
-  row_start_[rows] = values_.size();
+SparseMatrix::SparseMatrix(std::size_t cols,
+                           std::vector<std::size_t> row_start,
+                           std::vector<std::size_t> col_index,
+                           std::vector<double> values)
+    : rows_(row_start.size() - 1),
+      cols_(cols),
+      row_start_(std::move(row_start)),
+      col_index_(std::move(col_index)),
+      values_(std::move(values)) {
+  WANPLACE_REQUIRE(!row_start_.empty() && row_start_.back() == values_.size() &&
+                       col_index_.size() == values_.size(),
+                   "compressed arrays disagree");
 }
 
 void SparseMatrix::multiply(const std::vector<double>& x,
@@ -154,13 +99,13 @@ void SparseMatrix::multiply_blocked(const std::vector<double>& x,
   });
 }
 
-double SparseMatrix::row_dot(std::size_t r,
-                             const std::vector<double>& x) const {
-  WANPLACE_REQUIRE(r < rows_, "row out of range");
-  double sum = 0;
-  for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i)
-    sum += values_[i] * x[col_index_[i]];
-  return sum;
+void SparseMatrix::scale(const std::vector<double>& row_factor,
+                         const std::vector<double>& col_factor) {
+  WANPLACE_REQUIRE(row_factor.size() == rows_ && col_factor.size() == cols_,
+                   "scale factor arity mismatch");
+  for (std::size_t r = 0; r < rows_; ++r)
+    for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i)
+      values_[i] *= row_factor[r] * col_factor[col_index_[i]];
 }
 
 double SparseMatrix::max_abs() const {

@@ -1,7 +1,11 @@
 // Sparse matrix support for the LP solvers.
 //
-// Matrices are assembled as triplets and compressed to CSR. The PDHG solver
-// needs only y += A x and x += A^T y products; both are provided without
+// One compressed type, SparseMatrix (CSR), built one way: LpModel::columns()
+// compresses the model's rows into it with a counting pass, giving the
+// column view the simplex walks (row j = column j of A), and
+// LpModel::matrix() is that view's counting transpose, giving the row view
+// PDHG scales and multiplies. Neither path sorts. The PDHG solver needs
+// only y += A x and x += A^T y products; both are provided without
 // materializing the transpose (a column-major pass over CSR). For large
 // models the solver materializes the transpose once (transposed()) and runs
 // both products as row-blocked gathers over a thread pool; every row's sum
@@ -12,73 +16,24 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/check.h"
+
 namespace wanplace::util {
 class ThreadPool;
 }
 
 namespace wanplace::lp {
 
-/// One nonzero entry during assembly.
-struct Triplet {
-  std::size_t row;
-  std::size_t col;
-  double value;
-};
-
-/// Immutable CSC (column-compressed) matrix: the column-major counterpart
-/// of SparseMatrix, used where algorithms walk columns — the simplex builds
-/// its structural-column view with it and feeds basis columns to the sparse
-/// LU factorization. Entries within each column are sorted by row.
-class ColumnMajorMatrix {
- public:
-  ColumnMajorMatrix() = default;
-
-  /// Build from triplets; duplicate (row, col) entries are summed, zeros
-  /// dropped. Triplets may be in any order.
-  ColumnMajorMatrix(std::size_t rows, std::size_t cols,
-                    std::vector<Triplet> triplets);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t nonzeros() const { return values_.size(); }
-  std::size_t col_size(std::size_t j) const {
-    return col_start_[j + 1] - col_start_[j];
-  }
-
-  /// Iterate the nonzeros of column j as fn(row, value), rows ascending.
-  template <typename Fn>
-  void for_column(std::size_t j, Fn&& fn) const {
-    for (std::size_t i = col_start_[j]; i < col_start_[j + 1]; ++i)
-      fn(row_index_[i], values_[i]);
-  }
-
-  /// Dot product of column j with a dense row-indexed vector — the hot
-  /// kernel of the simplex pricing pass (alpha~_j = rho~ . A_j for every
-  /// nonbasic column, every pivot), kept loop-only so it inlines tightly.
-  double col_dot(std::size_t j, const std::vector<double>& v) const {
-    double acc = 0;
-    for (std::size_t i = col_start_[j]; i < col_start_[j + 1]; ++i)
-      acc += values_[i] * v[row_index_[i]];
-    return acc;
-  }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<std::size_t> col_start_;
-  std::vector<std::size_t> row_index_;
-  std::vector<double> values_;
-};
-
-/// Immutable CSR matrix.
+/// CSR matrix, immutable but for scale().
 class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Build from triplets; duplicate (row, col) entries are summed, zeros
-  /// dropped. Triplets may be in any order.
-  SparseMatrix(std::size_t rows, std::size_t cols,
-               std::vector<Triplet> triplets);
+  /// Adopt compressed arrays: row r holds entries [row_start[r],
+  /// row_start[r + 1]) of col_index/values. The caller guarantees column
+  /// indices below `cols` (LpModel::columns() is the one caller).
+  SparseMatrix(std::size_t cols, std::vector<std::size_t> row_start,
+               std::vector<std::size_t> col_index, std::vector<double> values);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -107,10 +62,25 @@ class SparseMatrix {
                         std::size_t blocks,
                         bool skip_zero_inputs = false) const;
 
-  /// Dot product of row r with x.
-  double row_dot(std::size_t r, const std::vector<double>& x) const;
+  /// Dot product of row r with x — the hot kernel of the simplex pricing
+  /// pass (alpha~_j = rho~ . A_j for every nonbasic column, every pivot,
+  /// over the column view), kept loop-only so it inlines tightly.
+  double row_dot(std::size_t r, const std::vector<double>& x) const {
+    WANPLACE_REQUIRE(r < rows_, "row out of range");
+    double sum = 0;
+    for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i)
+      sum += values_[i] * x[col_index_[i]];
+    return sum;
+  }
 
-  /// Iterate the nonzeros of row r.
+  /// Iterate the nonzeros of row r as fn(col, value), in stored order.
+  template <typename Fn>
+  void for_row(std::size_t r, Fn&& fn) const {
+    for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i)
+      fn(col_index_[i], values_[i]);
+  }
+
+  /// Random access to the nonzeros of row r.
   struct RowEntry {
     std::size_t col;
     double value;
@@ -122,6 +92,10 @@ class SparseMatrix {
     const std::size_t at = row_start_[r] + idx;
     return {col_index_[at], values_[at]};
   }
+
+  /// v *= row_factor[r] * col_factor[c] for every entry (r, c, v).
+  void scale(const std::vector<double>& row_factor,
+             const std::vector<double>& col_factor);
 
   /// Largest absolute entry (0 for an empty matrix).
   double max_abs() const;
@@ -139,8 +113,6 @@ class SparseMatrix {
   std::vector<std::size_t> row_start_;
   std::vector<std::size_t> col_index_;
   std::vector<double> values_;
-
-  friend class RowScaler;
 };
 
 }  // namespace wanplace::lp

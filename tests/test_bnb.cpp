@@ -47,8 +47,9 @@ TEST(Bnb, MatchesExhaustiveUnderClassConstraints) {
     const auto exhaustive = solve_exact(instance, spec);
     const auto bnb = solve_branch_and_bound(instance, spec);
     ASSERT_EQ(bnb.feasible, exhaustive.feasible) << spec.name;
-    if (exhaustive.feasible)
+    if (exhaustive.feasible) {
       EXPECT_NEAR(bnb.cost, exhaustive.cost, 1e-6) << spec.name;
+    }
   }
 }
 
@@ -67,9 +68,10 @@ TEST(Bnb, SandwichedBetweenLpAndRounding) {
     const auto bnb = solve_branch_and_bound(instance, spec, bnb_options);
     ASSERT_TRUE(bnb.feasible) << "seed " << seed;
     EXPECT_GE(bnb.cost, detail.bound.lower_bound - 1e-6) << "seed " << seed;
-    if (detail.bound.rounded_feasible && bnb.proven_optimal)
+    if (detail.bound.rounded_feasible && bnb.proven_optimal) {
       EXPECT_LE(bnb.cost, detail.bound.rounded_cost + 1e-6)
           << "seed " << seed;
+    }
   }
 }
 
@@ -93,8 +95,9 @@ TEST(Bnb, BudgetLimitsStillYieldValidBound) {
   generous.time_limit_s = 30;
   const auto full = solve_branch_and_bound(
       instance, mcperf::classes::general(), generous);
-  if (full.proven_optimal)
+  if (full.proven_optimal) {
     EXPECT_LE(bnb.lower_bound, full.cost + 1e-6);
+  }
 }
 
 TEST(Bnb, RejectsAvgLatencyGoal) {

@@ -213,13 +213,15 @@ TEST(Engine, MorePermissiveClassesHaveLowerBounds) {
       compute_bound(instance, mcperf::classes::caching(), options);
   const auto coop =
       compute_bound(instance, mcperf::classes::cooperative_caching(), options);
-  if (caching.achievable && coop.achievable)
+  if (caching.achievable && coop.achievable) {
     EXPECT_GE(caching.lower_bound, coop.lower_bound - 1e-6);
+  }
 
   const auto prefetch = compute_bound(
       instance, mcperf::classes::caching_with_prefetching(), options);
-  if (caching.achievable && prefetch.achievable)
+  if (caching.achievable && prefetch.achievable) {
     EXPECT_GE(caching.lower_bound, prefetch.lower_bound - 1e-6);
+  }
 }
 
 TEST(Engine, BoundMonotoneInQos) {
@@ -318,8 +320,9 @@ TEST(Rounding, BatchRunsStillFeasible) {
   options.solver = BoundOptions::Solver::Simplex;
   options.rounding.batch_runs = true;
   const auto detail = compute_bound_detail(instance, spec, options);
-  if (detail.bound.achievable)
+  if (detail.bound.achievable) {
     EXPECT_TRUE(detail.bound.rounded_feasible);
+  }
 }
 
 TEST(Rounding, AlreadyIntegralSolutionPassesThrough) {

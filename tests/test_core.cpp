@@ -44,7 +44,9 @@ TEST(Selector, RecommendsLowestBoundClass) {
   ASSERT_TRUE(report.has_recommendation());
   const double chosen = report.recommended_bound().lower_bound;
   for (const auto& bound : report.classes)
-    if (bound.achievable) EXPECT_LE(chosen, bound.lower_bound + 1e-9);
+    if (bound.achievable) {
+      EXPECT_LE(chosen, bound.lower_bound + 1e-9);
+    }
 }
 
 TEST(Selector, TableContainsAllClasses) {

@@ -436,7 +436,9 @@ TEST(DeltaDifferential, WidenedWindowSequencesStayIncremental) {
       const auto label = "seed " + std::to_string(seed) + " (" + spec.name +
                          ") event " + std::to_string(e) + " [" +
                          workload::event_kind(event) + "]";
-      if (had_model) EXPECT_TRUE(incremental) << label;
+      if (had_model) {
+        EXPECT_TRUE(incremental) << label;
+      }
       expect_matches_cold(harness, detail, label);
       if (HasFatalFailure()) return;
     }
@@ -469,7 +471,9 @@ TEST(DeltaDifferential, TreeTopologyEventSequencesMatchColdRebuilds) {
                          harness.spec.name + (fuzz.capped ? ", capped" : "") +
                          ") event " + std::to_string(e) + " [" +
                          workload::event_kind(event) + "]";
-      if (!fuzz.capped && had_model) EXPECT_TRUE(incremental) << label;
+      if (!fuzz.capped && had_model) {
+        EXPECT_TRUE(incremental) << label;
+      }
       expect_matches_cold(harness, detail, label);
       if (HasFatalFailure()) return;
     }
@@ -516,10 +520,11 @@ TEST(DeltaDifferential, BatchedSequencesMatchSequential) {
       ASSERT_FALSE(out.rejected) << label << " " << out.error;
       ASSERT_EQ(out.achievable, last.achievable) << label;
       if (out.achievable && out.status == lp::SolveStatus::Optimal &&
-          last.status == lp::SolveStatus::Optimal)
+          last.status == lp::SolveStatus::Optimal) {
         EXPECT_NEAR(out.lower_bound, last.lower_bound,
                     1e-7 * (1 + std::abs(last.lower_bound)))
             << label;
+      }
       const auto& a = seq.instance();
       const auto& b = bat.instance();
       ASSERT_EQ(a.node_count(), b.node_count()) << label;

@@ -277,6 +277,50 @@ TEST(Golden, DualSimplexBealePinned) {
 }
 
 // ---------------------------------------------------------------------------
+// PDHG fixtures: with default options and no clock cap, PDHG is a fixed
+// sequence of double operations (canonicalization, Ruiz scaling, matvecs,
+// restarts), so its certified dual bound reproduces BIT FOR BIT and its
+// iteration count exactly. A drift means the arithmetic or its order
+// changed — including how the constraint matrix is assembled and scaled.
+// Regenerate deliberately with WANPLACE_PRINT_GOLDEN=1.
+
+struct PdhgCase {
+  const char* name;        // preset name in mcperf::classes
+  std::size_t iterations;  // frozen PDHG iteration count
+  double dual_bound;       // frozen certified dual bound (bit-for-bit)
+};
+
+constexpr PdhgCase kPdhg[] = {
+    {"general", 1099, 9.6806740169642111},
+    {"storage_constrained", 799, 11.72677188980402},
+    {"replica_constrained", 599, 10.349139660666829},
+    {"caching", 1899, 36.820667833660444},
+    {"cooperative_caching", 1599, 18.999393304261996},
+    {"reactive", 999, 12.499496895473751},
+};
+
+TEST(Golden, PdhgDualBoundsBitForBit) {
+  const auto instance = golden_instance();
+  const bool print = std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr;
+  bounds::BoundOptions options;
+  options.solver = bounds::BoundOptions::Solver::Pdhg;
+  options.run_rounding = false;
+  ASSERT_EQ(options.pdhg.time_limit_s, 0.0);
+  for (const auto& g : kPdhg) {
+    const auto detail =
+        bounds::compute_bound_detail(instance, spec_by_name(g.name), options);
+    if (print) {
+      std::printf("    {\"%s\", %zu, %.17g},\n", g.name,
+                  detail.solution.iterations, detail.solution.dual_bound);
+      continue;
+    }
+    EXPECT_EQ(detail.solution.iterations, g.iterations) << g.name;
+    // Exact comparison on purpose: see the comment above kPdhg.
+    EXPECT_EQ(detail.solution.dual_bound, g.dual_bound) << g.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tree-family fixtures: six fixed tree instances pinning the exact DP
 // optimum (deterministic integer/double arithmetic — bit-for-bit), the
 // DenseInverse LP lower bound (bit-for-bit) and the default simplex

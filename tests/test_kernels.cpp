@@ -109,8 +109,9 @@ TEST(LuKernel, FtranSparseMatchesDenseBitExact) {
       std::vector<bool> in_pattern(m, false);
       for (const std::uint32_t p : pattern) in_pattern[p] = true;
       for (std::size_t p = 0; p < m; ++p)
-        if (x[p] != 0.0)
+        if (x[p] != 0.0) {
           ASSERT_TRUE(in_pattern[p]) << "trial " << trial << " pos " << p;
+        }
     }
   }
 }
@@ -134,8 +135,9 @@ TEST(LuKernel, BtranSparseMatchesDenseBitExact) {
       std::vector<bool> in_pattern(m, false);
       for (const std::uint32_t r : pattern) in_pattern[r] = true;
       for (std::size_t r = 0; r < m; ++r)
-        if (x[r] != 0.0)
+        if (x[r] != 0.0) {
           ASSERT_TRUE(in_pattern[r]) << "trial " << trial << " row " << r;
+        }
     }
   }
 }
@@ -285,8 +287,9 @@ TEST(SimplexSparse, DensityThresholdNeverChangesTheDualPivotSequence) {
     const LpSolution sparse = dual(1.0);
     ASSERT_EQ(dense.status, sparse.status) << "case " << i;
     ASSERT_EQ(dense.iterations, sparse.iterations) << "case " << i;
-    if (dense.status == SolveStatus::Optimal)
+    if (dense.status == SolveStatus::Optimal) {
       ASSERT_EQ(dense.objective, sparse.objective) << "case " << i;
+    }
   }
 }
 
@@ -298,8 +301,9 @@ TEST(SimplexSparse, AdversarialCorpusAgreesAcrossThresholds) {
     const LpSolution sparse = solve_simplex(fuzz.model, with_threshold(1.0));
     ASSERT_EQ(dense.status, sparse.status) << "case " << i;
     ASSERT_EQ(dense.iterations, sparse.iterations) << "case " << i;
-    if (dense.status == SolveStatus::Optimal)
+    if (dense.status == SolveStatus::Optimal) {
       ASSERT_EQ(dense.objective, sparse.objective) << "case " << i;
+    }
   }
 }
 

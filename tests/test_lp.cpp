@@ -19,10 +19,37 @@
 namespace wanplace::lp {
 namespace {
 
+/// One nonzero of a test matrix, in the order its row lists it.
+struct Nonzero {
+  std::size_t row;
+  std::size_t col;
+  double value;
+};
+
+/// The rows x cols matrix holding `entries`, compressed the way the solvers
+/// compress theirs: as the rows of an LpModel.
+SparseMatrix model_matrix(std::size_t rows, std::size_t cols,
+                          const std::vector<Nonzero>& entries) {
+  LpModel model;
+  for (std::size_t j = 0; j < cols; ++j) model.add_variable(0, kInfinity, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<std::size_t> row_cols;
+    std::vector<double> coeffs;
+    for (const auto& e : entries) {
+      if (e.row != r) continue;
+      row_cols.push_back(e.col);
+      coeffs.push_back(e.value);
+    }
+    model.add_row(RowType::Ge, 0, row_cols, coeffs);
+  }
+  return model.matrix();
+}
+
 TEST(Sparse, MultiplyAndTranspose) {
   // [1 2 0]
   // [0 0 3]
-  SparseMatrix m(2, 3, {{0, 0, 1}, {0, 1, 2}, {1, 2, 3}});
+  const SparseMatrix m =
+      model_matrix(2, 3, {{0, 0, 1}, {0, 1, 2}, {1, 2, 3}});
   EXPECT_EQ(m.nonzeros(), 3u);
   std::vector<double> x{1, 10, 100}, out;
   m.multiply(x, out);
@@ -39,7 +66,8 @@ TEST(Sparse, MultiplyAndTranspose) {
 }
 
 TEST(Sparse, DuplicatesSummedZerosDropped) {
-  SparseMatrix m(1, 2, {{0, 0, 1}, {0, 0, 2}, {0, 1, 5}, {0, 1, -5}});
+  const SparseMatrix m =
+      model_matrix(1, 2, {{0, 0, 1}, {0, 0, 2}, {0, 1, 5}, {0, 1, -5}});
   EXPECT_EQ(m.nonzeros(), 1u);
   std::vector<double> x{1, 1}, out;
   m.multiply(x, out);
@@ -47,7 +75,7 @@ TEST(Sparse, DuplicatesSummedZerosDropped) {
 }
 
 TEST(Sparse, RowDotAndEntries) {
-  SparseMatrix m(2, 3, {{1, 0, 4}, {1, 2, -1}});
+  const SparseMatrix m = model_matrix(2, 3, {{1, 0, 4}, {1, 2, -1}});
   std::vector<double> x{2, 0, 3};
   EXPECT_DOUBLE_EQ(m.row_dot(1, x), 5);
   EXPECT_DOUBLE_EQ(m.row_dot(0, x), 0);
@@ -57,23 +85,59 @@ TEST(Sparse, RowDotAndEntries) {
 }
 
 TEST(Sparse, NormEstimates) {
-  SparseMatrix m(2, 2, {{0, 0, 3}, {1, 1, 4}});
+  const SparseMatrix m = model_matrix(2, 2, {{0, 0, 3}, {1, 1, 4}});
   EXPECT_DOUBLE_EQ(m.max_abs(), 4);
   EXPECT_DOUBLE_EQ(m.frobenius_norm_squared(), 25);
   // Diagonal matrix: spectral norm is the max entry.
   EXPECT_NEAR(m.spectral_norm_estimate(), 4, 1e-6);
 }
 
+// The column view lists each column's rows ascending, sums a column a row
+// repeats (in the row's order) and drops zero sums; the row view is its
+// transpose, columns ascending within each row whatever order the model's
+// rows gave them in.
+TEST(Sparse, ColumnViewIsTheTransposeOfTheRowView) {
+  LpModel model;
+  for (int j = 0; j < 3; ++j) model.add_variable(0, kInfinity, 0);
+  model.add_row(RowType::Ge, 0, {2, 0, 2, 1, 1}, {1, 4, 2, 5, -5});
+  model.add_row(RowType::Le, 0, {}, {});
+  model.add_row(RowType::Eq, 0, {1, 0}, {7, 0});
+
+  const SparseMatrix columns = model.columns();
+  ASSERT_EQ(columns.rows(), 3u);
+  ASSERT_EQ(columns.cols(), 3u);
+  ASSERT_EQ(columns.nonzeros(), 3u);
+  ASSERT_EQ(columns.row_size(0), 1u);  // column 0: row 0 (4); row 2's 0 gone
+  EXPECT_EQ(columns.row_entry(0, 0).col, 0u);
+  EXPECT_EQ(columns.row_entry(0, 0).value, 4);
+  ASSERT_EQ(columns.row_size(1), 1u);  // column 1: 5 - 5 dropped, row 2 (7)
+  EXPECT_EQ(columns.row_entry(1, 0).col, 2u);
+  EXPECT_EQ(columns.row_entry(1, 0).value, 7);
+  ASSERT_EQ(columns.row_size(2), 1u);  // column 2: 1 + 2 in row 0
+  EXPECT_EQ(columns.row_entry(2, 0).value, 3);
+
+  const SparseMatrix rows = model.matrix();
+  ASSERT_EQ(rows.rows(), 3u);
+  ASSERT_EQ(rows.row_size(0), 2u);
+  EXPECT_EQ(rows.row_entry(0, 0).col, 0u);
+  EXPECT_EQ(rows.row_entry(0, 1).col, 2u);
+  EXPECT_EQ(rows.row_size(1), 0u);
+  ASSERT_EQ(rows.row_size(2), 1u);
+  EXPECT_EQ(rows.row_entry(2, 0).col, 1u);
+}
+
 TEST(Scaling, RuizEquilibratesRowsAndCols) {
-  std::vector<Triplet> triplets{
-      {0, 0, 1000}, {0, 1, 2000}, {1, 0, 0.001}, {1, 1, 0.004}};
-  const auto scaling = ruiz_scaling(2, 2, triplets, 20);
+  const SparseMatrix m = model_matrix(
+      2, 2, {{0, 0, 1000}, {0, 1, 2000}, {1, 0, 0.001}, {1, 1, 0.004}});
+  const auto scaling = ruiz_scaling(m, 20);
   double row_max[2] = {0, 0}, col_max[2] = {0, 0};
-  for (const auto& t : triplets) {
-    const double v =
-        std::abs(t.value) * scaling.row_scale[t.row] * scaling.col_scale[t.col];
-    row_max[t.row] = std::max(row_max[t.row], v);
-    col_max[t.col] = std::max(col_max[t.col], v);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    m.for_row(r, [&](std::size_t c, double value) {
+      const double v =
+          std::abs(value) * scaling.row_scale[r] * scaling.col_scale[c];
+      row_max[r] = std::max(row_max[r], v);
+      col_max[c] = std::max(col_max[c], v);
+    });
   }
   for (double v : row_max) EXPECT_NEAR(v, 1.0, 0.05);
   for (double v : col_max) EXPECT_NEAR(v, 1.0, 0.05);
@@ -572,6 +636,56 @@ TEST(Simplex, SetCoverRelaxationFractional) {
   const auto sol = solve_simplex(model);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, 1.5, 1e-8);
+}
+
+// A model whose rows repeat a column and carry a cancelling 5, -5 pair, and
+// its merged twin. min x0 + 2 x1 + 1.5 x2 s.t. 2 x0 + x1 >= 4,
+// 1.5 x1 + x2 <= 6, x0 + 2 x2 = 3, 0 <= x <= 10: optimum 2.75 at
+// (2, 0, 0.5).
+LpModel repeated_columns_lp(bool merged) {
+  LpModel model;
+  const auto x0 = model.add_variable(0, 10, 1);
+  const auto x1 = model.add_variable(0, 10, 2);
+  const auto x2 = model.add_variable(0, 10, 1.5);
+  if (merged) {
+    model.add_row(RowType::Ge, 4, {x0, x1}, {2, 1});
+    model.add_row(RowType::Le, 6, {x1, x2}, {1.5, 1});
+    model.add_row(RowType::Eq, 3, {x0, x2}, {1, 2});
+  } else {
+    model.add_row(RowType::Ge, 4, {x2, x0, x1, x0, x2}, {5, 1, 1, 1, -5});
+    model.add_row(RowType::Le, 6, {x1, x2, x1}, {1, 1, 0.5});
+    model.add_row(RowType::Eq, 3, {x2, x0, x2}, {1, 1, 1});
+  }
+  return model;
+}
+
+// Repeated columns are summed and cancelling pairs dropped before any
+// solver sees the matrix, so every solver reaches the merged twin's optimum.
+TEST(SolverInput, RepeatedAndCancellingColumnsSolveLikeTheirMergedTwin) {
+  const LpModel repeated = repeated_columns_lp(false);
+  const LpModel merged = repeated_columns_lp(true);
+
+  SimplexOptions dense;
+  dense.basis = SimplexOptions::Basis::DenseInverse;
+  for (const SimplexOptions& options : {SimplexOptions{}, dense}) {
+    const auto a = solve_simplex(repeated, options);
+    const auto b = solve_simplex(merged, options);
+    ASSERT_EQ(a.status, SolveStatus::Optimal);
+    ASSERT_EQ(b.status, SolveStatus::Optimal);
+    EXPECT_NEAR(b.objective, 2.75, 1e-9);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.x, b.x);
+    EXPECT_NEAR(a.objective, b.objective, 1e-12);
+  }
+
+  const auto a = solve_pdhg(repeated);
+  const auto b = solve_pdhg(merged);
+  ASSERT_EQ(a.status, SolveStatus::Optimal);
+  ASSERT_EQ(b.status, SolveStatus::Optimal);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_NEAR(a.dual_bound, b.dual_bound, 1e-12);
+  EXPECT_NEAR(b.dual_bound, 2.75, 1e-3);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,8 +56,9 @@ TEST(Simplex, IterationLimitReported) {
   // Even a truncated run must report a non-lying certificate.
   lp::SimplexOptions full;
   const auto exact = lp::solve_simplex(model, full);
-  if (exact.status == lp::SolveStatus::Optimal)
+  if (exact.status == lp::SolveStatus::Optimal) {
     EXPECT_LE(sol.dual_bound, exact.objective + 1e-7);
+  }
 }
 
 TEST(Pdhg, TimeLimitHonored) {

@@ -352,6 +352,31 @@ TEST(ObsLu, FactorizeTimeRecordedOnlyWithMetricsOn) {
   EXPECT_EQ(on.at("lu.factorizations").sum, 1.0);
 }
 
+// lp.columns_s times the column build, once per simplex solve, and only
+// while the registry is on, like lu.factorize_s.
+TEST(ObsLu, ColumnBuildTimeRecordedOncePerSolveOnlyWithMetricsOn) {
+  lp::LpModel model;
+  const auto x = model.add_variable(0, 3, 2);
+  const auto y = model.add_variable(0, 3, 5);
+  model.add_row(lp::RowType::Ge, 4, {x, y}, {1, 1});
+  TelemetryScope scope;
+  obs::Registry::global().enable(false);
+  ASSERT_EQ(lp::solve_simplex(model).status, lp::SolveStatus::Optimal);
+  obs::Registry::global().enable(true);
+  const auto off = obs::Registry::global().snapshot();
+  EXPECT_TRUE(off.count("lp.columns_s") == 0 ||
+              off.at("lp.columns_s").count == 0);
+
+  for (int solve = 0; solve < 2; ++solve)
+    ASSERT_EQ(lp::solve_simplex(model).status, lp::SolveStatus::Optimal);
+  const auto on = obs::Registry::global().snapshot();
+  const auto& time = on.at("lp.columns_s");
+  EXPECT_EQ(time.kind, obs::MetricValue::Kind::Histogram);
+  EXPECT_EQ(time.count, 2u);
+  EXPECT_GE(time.sum, 0.0);
+  EXPECT_EQ(on.at("simplex.solves").sum, 2.0);
+}
+
 /// One simplex solve with the registry on, plus the lu.factorizations it
 /// recorded.
 struct CountedSolve {

@@ -193,10 +193,12 @@ TEST(Neighborhood, PresetOrderedBetweenCachingAndCoop) {
   const auto coop =
       bounds::compute_bound(instance, classes::cooperative_caching(),
                             options);
-  if (neighborhood.achievable && coop.achievable)
+  if (neighborhood.achievable && coop.achievable) {
     EXPECT_GE(neighborhood.lower_bound, coop.lower_bound - 1e-6);
-  if (caching.achievable && neighborhood.achievable)
+  }
+  if (caching.achievable && neighborhood.achievable) {
     EXPECT_GE(caching.lower_bound, neighborhood.lower_bound - 1e-6);
+  }
 }
 
 TEST(Neighborhood, RestrictsCreation) {

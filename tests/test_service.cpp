@@ -318,10 +318,11 @@ TEST(Service, IncrementalBoundsMatchColdRebuild) {
     EXPECT_EQ(out.achievable, cold.achievable);
     if (!out.achievable) continue;
     ASSERT_EQ(out.status, cold.status) << out.kind;
-    if (out.status == lp::SolveStatus::Optimal)
+    if (out.status == lp::SolveStatus::Optimal) {
       EXPECT_NEAR(out.lower_bound, cold.lower_bound,
                   1e-7 * (1 + std::abs(cold.lower_bound)))
           << out.kind;
+    }
   }
 }
 
@@ -649,10 +650,11 @@ TEST(Service, ChurnSoak) {
           bounds::compute_bound(daemon.instance(), mcperf::classes::general());
       EXPECT_EQ(out.achievable, cold.achievable) << "step " << step;
       if (out.achievable && out.status == lp::SolveStatus::Optimal &&
-          cold.status == lp::SolveStatus::Optimal)
+          cold.status == lp::SolveStatus::Optimal) {
         EXPECT_NEAR(out.lower_bound, cold.lower_bound,
                     1e-7 * (1 + std::abs(cold.lower_bound)))
             << "step " << step;
+      }
     }
   }
   EXPECT_EQ(daemon.events_seen(), 40u);
@@ -686,9 +688,10 @@ TEST(Service, RegretAuditTracksIncumbentAndBound) {
       EXPECT_NEAR(out.audit.regret, out.audit.cost - out.lower_bound, 1e-12)
           << out.kind;
       // A feasible incumbent can never beat the certified lower bound.
-      if (out.audit.feasible())
+      if (out.audit.feasible()) {
         EXPECT_GE(out.audit.regret, -1e-7 * (1 + std::abs(out.lower_bound)))
             << out.kind;
+      }
     }
   }
 }

@@ -248,8 +248,9 @@ TEST(Sweep, HigherTargetCostsMore) {
                                        config, 0.4, exhaustive_candidates(10));
   const auto high = sweep_greedy_global(trace, fix.latencies, fix.dist,
                                         config, 0.7, exhaustive_candidates(10));
-  if (low.feasible && high.feasible)
+  if (low.feasible && high.feasible) {
     EXPECT_LE(low.best.total_cost, high.best.total_cost + 1e-9);
+  }
 }
 
 }  // namespace
