@@ -11,7 +11,6 @@
 #include "heuristics/cache.h"
 #include "obs/metrics.h"
 #include "sim/sweep.h"
-#include "util/line_reader.h"
 
 namespace wanplace::bench {
 
@@ -34,15 +33,6 @@ bool small_scale() {
   return small;
 }
 
-double time_limit_s() {
-  static const double limit = [] {
-    const auto parsed =
-        parse_number(env_or("WANPLACE_BENCH_TIME_LIMIT", "10"));
-    return parsed && *parsed > 0 ? *parsed : 10.0;
-  }();
-  return limit;
-}
-
 const core::CaseStudy& case_study() {
   static const core::CaseStudy study = make_case_study(
       small_scale() ? core::CaseStudyConfig::small() : core::CaseStudyConfig{});
@@ -52,10 +42,8 @@ const core::CaseStudy& case_study() {
 bounds::BoundOptions bound_options() {
   bounds::BoundOptions options;
   options.solver = bounds::BoundOptions::Solver::Pdhg;
-  options.pdhg.max_iterations = 400'000;
   options.pdhg.tolerance = 3e-4;
   options.pdhg.check_period = 200;
-  options.pdhg.time_limit_s = time_limit_s();
   return options;
 }
 

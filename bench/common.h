@@ -1,9 +1,11 @@
 // Shared infrastructure for the figure-regeneration benches.
 //
 // Environment knobs:
-//   WANPLACE_BENCH_SCALE      = paper | small      (default: paper)
-//   WANPLACE_BENCH_TIME_LIMIT = seconds per LP     (default: 10)
-//   WANPLACE_BENCH_OUT        = CSV output dir     (default: bench_results)
+//   WANPLACE_BENCH_SCALE = paper | small      (default: paper)
+//   WANPLACE_BENCH_OUT   = CSV output dir     (default: bench_results)
+//
+// No solve stops on a clock (PDHG is capped by bounds::kPdhgWorkBudget), so
+// a rerun reproduces every CSV column except the timings.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -23,11 +25,9 @@ const core::CaseStudy& case_study();
 /// True when WANPLACE_BENCH_SCALE=small.
 bool small_scale();
 
-/// PDHG-tuned bound options with the env-configured per-solve time limit.
+/// PDHG-tuned bound options: forced PDHG at tolerance 3e-4, capped by the
+/// engine's iteration budget.
 bounds::BoundOptions bound_options();
-
-/// Per-solve LP wall-clock limit in seconds.
-double time_limit_s();
 
 /// Global results table for the running bench binary; printed (and written
 /// as CSV) by run_main() after all benchmarks finish.

@@ -15,7 +15,7 @@
 // only PDHG's matvecs use; its phase-2 selection fans out over the
 // hardware threads either way.
 // select-files builds the instance as the CLI does with its defaults:
-// tqos 0.99, 24 intervals, per-user scope, origin 0, a 10 s PDHG cap.
+// tqos 0.99, 24 intervals, per-user scope, origin 0.
 #include <cstdio>
 #include <string>
 
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
     } else {
       core::SelectorOptions options;
       options.parallelism = *parallelism;
-      options.bounds.pdhg.time_limit_s = files ? 10 : 0;
       detail = "\"bounds\": " +
                bounds_json(core::HeuristicSelector(options).select(instance));
     }

@@ -447,7 +447,6 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
     lp::PdhgOptions options;
     options.tolerance = pdhg_tolerance;
     options.max_iterations = pdhg_iterations;
-    options.time_limit_s = bench::time_limit_s();
     bench::reset_metrics();
     pdhg = lp::solve_pdhg(model, options);
     pdhg_s = bench::metric_sum("pdhg.solve_seconds");

@@ -67,10 +67,7 @@ int main() {
   // The class this heuristic belongs to: storage-constrained + reactive.
   auto spec = mcperf::classes::storage_constrained();
   spec.reactive = true;
-  bounds::BoundOptions options;
-  options.pdhg.time_limit_s = 8;
-  const auto bound =
-      bounds::compute_bound(study.web_instance(tqos), spec, options);
+  const auto bound = bounds::compute_bound(study.web_instance(tqos), spec);
   if (!bound.achievable) {
     std::cout << "the class cannot meet " << format_number(tqos * 100, 2)
               << "% on this system (max "

@@ -18,7 +18,6 @@ int main() {
 
   core::PlannerOptions options;
   options.zeta = 10'000;  // the paper's node-opening cost
-  options.bounds.pdhg.time_limit_s = 8;
   const auto plan = core::DeploymentPlanner(options).plan(instance);
 
   std::cout << "\nphase 1: deploy file servers on "

@@ -29,10 +29,8 @@ void analyze(const core::CaseStudy& study, bool group, double tqos) {
             << trace.min_object_reads() << "\n\n";
 
   // Step 1: class lower bounds (Figure 1 for this workload).
-  core::SelectorOptions options;
-  options.bounds.pdhg.time_limit_s = 8;
   const core::SelectionReport report =
-      core::HeuristicSelector(options).select(instance);
+      core::HeuristicSelector().select(instance);
   std::cout << report.to_table().to_ascii() << "\n";
   if (!report.has_recommendation()) {
     std::cout << "no class meets the goal.\n";

@@ -31,8 +31,7 @@ struct Searcher {
   }
 
   bool out_of_budget() {
-    if (best.nodes_explored >= options.max_nodes ||
-        watch.elapsed_seconds() > options.time_limit_s) {
+    if (best.nodes_explored >= options.max_nodes) {
       limits_hit = true;
       return true;
     }

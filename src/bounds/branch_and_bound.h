@@ -20,7 +20,8 @@
 namespace wanplace::bounds {
 
 struct BnbOptions {
-  double time_limit_s = 30;
+  /// The one search budget: explored nodes, never a clock, so whether a
+  /// search is proven optimal does not depend on host speed.
   std::size_t max_nodes = 200'000;
   lp::SimplexOptions simplex;
 };

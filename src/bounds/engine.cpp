@@ -178,7 +178,6 @@ std::string to_string(const SolverRun& run) {
                     : run.path == SolverRun::Path::Pdhg  ? "pdhg"
                                                          : "simplex->pdhg";
   if (run.cap == SolverRun::Cap::Iterations) out += " (iteration cap)";
-  if (run.cap == SolverRun::Cap::Time) out += " (time cap)";
   return out;
 }
 
@@ -186,13 +185,16 @@ LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
                const BoundOptions& options) {
   using Solver = BoundOptions::Solver;
   LpRun run;
+  // Iterations that `budget` buys on this LP: budget / (rows + columns).
+  const auto affordable = [&](double budget) {
+    const auto size = static_cast<double>(model.row_count() +
+                                          model.variable_count());
+    return std::max<std::size_t>(1, static_cast<std::size_t>(budget / size));
+  };
   if (options.solver != Solver::Pdhg) {
     lp::SimplexOptions simplex = options.simplex;
-    const std::size_t size = model.row_count() + model.variable_count();
     if (options.solver == Solver::Auto && simplex.max_iterations == 0)
-      simplex.max_iterations = std::max<std::size_t>(
-          1, static_cast<std::size_t>(kSimplexWorkBudget /
-                                      static_cast<double>(size)));
+      simplex.max_iterations = affordable(kSimplexWorkBudget);
     const lp::BasisSnapshot* basis = options.warm.basis;
     if (basis != nullptr &&
         basis->compatible(model.variable_count(), model.row_count())) {
@@ -220,15 +222,12 @@ LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
   if (pdhg.infeasibility_threshold == lp::kInfinity)
     pdhg.infeasibility_threshold = 2 * instance.max_possible_cost() + 1;
   pdhg.parallelism = options.parallelism;
+  pdhg.max_iterations =
+      std::min(pdhg.max_iterations, affordable(kPdhgWorkBudget));
   run.solution = lp::solve_pdhg(model, pdhg);
   if (run.solution.status == lp::SolveStatus::IterationLimit) {
-    // PDHG breaks on its clock before the iteration counter reaches the cap.
-    const bool iterations = run.solution.iterations >= pdhg.max_iterations;
-    run.solver.cap =
-        iterations ? SolverRun::Cap::Iterations : SolverRun::Cap::Time;
-    if (obs::metrics_enabled())
-      obs::counter_add(iterations ? "bounds.pdhg_iteration_cap"
-                                  : "bounds.pdhg_time_cap");
+    run.solver.cap = SolverRun::Cap::Iterations;
+    if (obs::metrics_enabled()) obs::counter_add("bounds.pdhg_iteration_cap");
   }
   return run;
 }

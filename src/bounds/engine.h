@@ -55,16 +55,16 @@ struct SolverRun {
     /// Auto's simplex spent its work budget; PDHG re-solved the LP.
     SimplexThenPdhg,
   };
-  /// Which cap, if any, stopped the solver that produced the result: PDHG's
-  /// iteration or time cap, or the iteration limit of a forced simplex
+  /// Whether the solver that produced the result stopped at its iteration
+  /// cap: PDHG's (see solve_lp), or the iteration limit of a forced simplex
   /// (Auto's simplex falls back to PDHG there instead).
-  enum class Cap { None, Iterations, Time };
+  enum class Cap { None, Iterations };
   Path path = Path::Simplex;
   Cap cap = Cap::None;
 };
 
-/// "simplex", "pdhg" or "simplex->pdhg", then " (iteration cap)" or
-/// " (time cap)" when the solver stopped at one.
+/// "simplex", "pdhg" or "simplex->pdhg", then " (iteration cap)" when the
+/// solver stopped at its cap.
 std::string to_string(const SolverRun& run);
 
 /// The simplex work budget of Solver::Auto, in pivots x (rows + columns):
@@ -76,6 +76,17 @@ std::string to_string(const SolverRun& run);
 /// (storage-constrained at tqos 0.99: 3856 pivots x 12,197) uses a fifth
 /// of it. Deterministic: the budget counts pivots, never reads a clock.
 constexpr double kSimplexWorkBudget = 2.5e8;
+
+/// The PDHG work budget of solve_lp, in iterations x (rows + columns): every
+/// PDHG solve, forced or after a fallback, runs at most
+/// kPdhgWorkBudget / (rows + columns) iterations. An iteration costs ~8-19
+/// ns per row-or-column (Xeon at 2.1 GHz, idle to busy host), so the budget
+/// is 4-10 s of PDHG at any size, below what 10 s of PDHG reached on every
+/// non-converging solve of the README quickstart and the default
+/// `gen-example` `select` at parallelism 1 and 4 (the least: 7,999 x
+/// 64,759 = 5.2e8). Deterministic: the budget counts iterations, never
+/// reads a clock.
+constexpr double kPdhgWorkBudget = 5e8;
 
 /// One LP solve under the options' solver policy; the bound pipeline and
 /// the deployment planner both solve through it.
@@ -91,8 +102,11 @@ struct LpRun {
 /// max_iterations = kSimplexWorkBudget / (rows + columns) when
 /// options.simplex.max_iterations is 0, and when the simplex stops at its
 /// iteration limit re-solves cold with PDHG, counted as
-/// `bounds.pdhg_fallback`. options.warm.basis warm-starts the dual simplex
-/// when its shape matches the model.
+/// `bounds.pdhg_fallback`. Every PDHG solve runs at most
+/// min(options.pdhg.max_iterations, kPdhgWorkBudget / (rows + columns))
+/// iterations; stopping there is counted as `bounds.pdhg_iteration_cap`.
+/// options.warm.basis warm-starts the dual simplex when its shape matches
+/// the model.
 LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
                const BoundOptions& options);
 

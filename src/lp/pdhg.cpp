@@ -271,9 +271,6 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
       status = SolveStatus::Infeasible;
       break;
     }
-    if (options.time_limit_s > 0 &&
-        watch.elapsed_seconds() > options.time_limit_s)
-      break;
 
     // Restart at the better point; adapt the primal weight to observed
     // movement (light-weight version of PDLP's update).

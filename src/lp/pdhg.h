@@ -27,8 +27,6 @@ struct PdhgOptions {
   std::size_t check_period = 100;
   /// Consider a restart every this many iterations at most.
   std::size_t restart_period = 500;
-  /// Wall-clock cap in seconds (0 = none).
-  double time_limit_s = 0;
   /// Declare infeasibility when the certified bound exceeds this value
   /// (callers pass a known upper bound on any feasible objective;
   /// +infinity disables the check).

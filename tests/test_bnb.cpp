@@ -63,9 +63,7 @@ TEST(Bnb, SandwichedBetweenLpAndRounding) {
     const auto detail = compute_bound_detail(instance, spec, options);
     if (!detail.bound.achievable) continue;
 
-    BnbOptions bnb_options;
-    bnb_options.time_limit_s = 20;
-    const auto bnb = solve_branch_and_bound(instance, spec, bnb_options);
+    const auto bnb = solve_branch_and_bound(instance, spec);
     ASSERT_TRUE(bnb.feasible) << "seed " << seed;
     EXPECT_GE(bnb.cost, detail.bound.lower_bound - 1e-6) << "seed " << seed;
     if (detail.bound.rounded_feasible && bnb.proven_optimal) {
@@ -91,10 +89,8 @@ TEST(Bnb, BudgetLimitsStillYieldValidBound) {
       instance, mcperf::classes::general(), tight);
   EXPECT_FALSE(bnb.proven_optimal);
   // The root relaxation bound is still a valid lower bound.
-  BnbOptions generous;
-  generous.time_limit_s = 30;
-  const auto full = solve_branch_and_bound(
-      instance, mcperf::classes::general(), generous);
+  const auto full =
+      solve_branch_and_bound(instance, mcperf::classes::general());
   if (full.proven_optimal) {
     EXPECT_LE(bnb.lower_bound, full.cost + 1e-6);
   }

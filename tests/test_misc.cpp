@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "instance_helpers.h"
-#include "lp/pdhg.h"
 #include "lp/simplex.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
@@ -59,32 +58,6 @@ TEST(Simplex, IterationLimitReported) {
   if (exact.status == lp::SolveStatus::Optimal) {
     EXPECT_LE(sol.dual_bound, exact.objective + 1e-7);
   }
-}
-
-TEST(Pdhg, TimeLimitHonored) {
-  Rng rng(17);
-  lp::LpModel model;
-  for (int j = 0; j < 200; ++j)
-    model.add_variable(0, 1, rng.uniform(-1, 1));
-  for (int r = 0; r < 150; ++r) {
-    std::vector<std::size_t> cols;
-    std::vector<double> coeffs;
-    for (std::size_t j = 0; j < 200; ++j)
-      if (rng.bernoulli(0.1)) {
-        cols.push_back(j);
-        coeffs.push_back(rng.uniform(-1, 1));
-      }
-    if (!cols.empty())
-      model.add_row(lp::RowType::Ge, -2, cols, coeffs);
-  }
-  lp::PdhgOptions options;
-  options.time_limit_s = 0.05;
-  options.tolerance = 0;  // force running until the clock stops it
-  options.max_iterations = 100'000'000;
-  Stopwatch watch;
-  const auto sol = lp::solve_pdhg(model, options);
-  EXPECT_LT(watch.elapsed_seconds(), 5.0);
-  EXPECT_GT(sol.iterations, 0u);
 }
 
 TEST(Instance, MaxPossibleCostIncludesWrites) {

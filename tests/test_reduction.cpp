@@ -59,10 +59,8 @@ TEST(Reduction, McPerfOptimumEqualsMinimumCover) {
     ASSERT_NE(oracle, SIZE_MAX);
 
     const auto instance = reduce_set_cover(cover);
-    bounds::BnbOptions options;
-    options.time_limit_s = 20;
-    const auto result = bounds::solve_branch_and_bound(
-        instance, classes::general(), options);
+    const auto result =
+        bounds::solve_branch_and_bound(instance, classes::general());
     ASSERT_TRUE(result.feasible) << "trial " << trial;
     ASSERT_TRUE(result.proven_optimal) << "trial " << trial;
     EXPECT_NEAR(result.cost, static_cast<double>(oracle), 1e-6)

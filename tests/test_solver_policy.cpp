@@ -87,6 +87,10 @@ TEST(SolverPolicy, ExhaustedBudgetFallsBackToPdhg) {
   EXPECT_TRUE(fallback.solution.basis.empty());  // PDHG's answer is kept
   EXPECT_EQ(bounds::to_string(fallback.bound.solver).rfind("simplex->pdhg", 0),
             0u);
+  // No clock stops PDHG, so a second solve reproduces the first bit for bit.
+  const auto again = bounds::compute_bound_detail(instance, spec, options);
+  EXPECT_EQ(again.bound.lower_bound, fallback.bound.lower_bound);
+  EXPECT_EQ(again.solution.iterations, fallback.solution.iterations);
 
   const auto exact = bounds::compute_bound(
       instance, spec, serial(bounds::BoundOptions::Solver::Simplex));
@@ -95,11 +99,12 @@ TEST(SolverPolicy, ExhaustedBudgetFallsBackToPdhg) {
   EXPECT_LE(fallback.bound.lower_bound,
             exact.lower_bound + 1e-9 * (1 + exact.lower_bound));
   // The forced-simplex reference solve did not fall back.
-  EXPECT_EQ(counter("bounds.pdhg_fallback"), 1.0);
+  EXPECT_EQ(counter("bounds.pdhg_fallback"), 2.0);
 }
 
-// A forced solver that stops at its cap names the cap; a forced simplex
-// never falls back to PDHG.
+// A forced solver that stops at its cap names the cap, whether the cap is
+// the caller's max_iterations or the engine's PDHG work budget; a forced
+// simplex never falls back to PDHG.
 TEST(SolverPolicy, CapsAreNamed) {
   MetricsScope metrics;
   const auto instance =
@@ -112,6 +117,36 @@ TEST(SolverPolicy, CapsAreNamed) {
   EXPECT_EQ(capped.solver.path, bounds::SolverRun::Path::Pdhg);
   EXPECT_EQ(capped.solver.cap, bounds::SolverRun::Cap::Iterations);
   EXPECT_EQ(bounds::to_string(capped.solver), "pdhg (iteration cap)");
+
+  // 150 random rows over 200 columns never converge at tolerance 0, and
+  // columns no row touches widen the LP until kPdhgWorkBudget buys ~17k
+  // iterations, below max_iterations: the solve stops at exactly that
+  // share. Progress checks can only cost time here, so none runs.
+  Rng rng(17);
+  lp::LpModel wide;
+  for (int j = 0; j < 200; ++j) wide.add_variable(0, 1, rng.uniform(-1, 1));
+  for (int r = 0; r < 150; ++r) {
+    std::vector<std::size_t> cols;
+    std::vector<double> coeffs;
+    for (std::size_t j = 0; j < 200; ++j)
+      if (rng.bernoulli(0.1)) {
+        cols.push_back(j);
+        coeffs.push_back(rng.uniform(-1, 1));
+      }
+    if (!cols.empty()) wide.add_row(lp::RowType::Ge, -2, cols, coeffs);
+  }
+  while (wide.variable_count() < 30'000) wide.add_variable(0, 1, 1);
+  auto budgeted = serial(bounds::BoundOptions::Solver::Pdhg);
+  budgeted.pdhg.tolerance = 0;
+  budgeted.pdhg.check_period = budgeted.pdhg.max_iterations;
+  const auto share = static_cast<std::size_t>(
+      bounds::kPdhgWorkBudget /
+      static_cast<double>(wide.row_count() + wide.variable_count()));
+  ASSERT_LT(share, budgeted.pdhg.max_iterations);
+  const auto run = bounds::solve_lp(instance, wide, budgeted);
+  EXPECT_EQ(run.solution.status, lp::SolveStatus::IterationLimit);
+  EXPECT_EQ(run.solution.iterations, share);
+  EXPECT_EQ(bounds::to_string(run.solver), "pdhg (iteration cap)");
 
   auto simplex = serial(bounds::BoundOptions::Solver::Simplex);
   simplex.simplex.max_iterations = 5;

@@ -47,18 +47,18 @@
 //   --intervals 24     evaluation intervals over the trace horizon (>= 1)
 //   --origin 0         origin/headquarters node id, below the node count
 //   --scope per-user | overall | per-object | per-user-object
-//   --time-limit 10    wall-clock cap in seconds per PDHG solve (>= 0,
-//                      0 = none); simplex solves have no wall-clock cap
 //   --solver auto | simplex | dual | pdhg    the LP solver. auto (default)
 //                      runs the exact simplex on every LP under a fixed
 //                      work budget (pivots x LP size, ~1.2 s of pivoting)
 //                      and re-solves with PDHG when the budget runs out;
 //                      the report names the solver ("simplex->pdhg" after
-//                      a fallback, "(time cap)" / "(iteration cap)" when
-//                      PDHG stopped early). simplex, dual and pdhg force
-//                      one solver with no budget (dual = dual simplex;
-//                      falls back to primal when no dual-feasible start
-//                      exists)
+//                      a fallback, "(iteration cap)" when PDHG stopped
+//                      early). simplex, dual and pdhg force one solver
+//                      (dual = dual simplex; falls back to primal when no
+//                      dual-feasible start exists); the simplex then has
+//                      no budget. Every PDHG solve runs at most a fixed
+//                      work budget of iterations x LP size, so the same
+//                      inputs always print the same report
 //
 // Telemetry (select, plan, bound and serve):
 //   --trace-out FILE   write solver telemetry as JSONL (spans, samples,
@@ -137,8 +137,8 @@ struct Args {
 /// on top of its own.
 void check_flags(const Args& args) {
   static const std::set<std::string> kLoad = {
-      "topology", "trace",      "tqos",  "tlat", "intervals",
-      "origin",   "time-limit", "scope", "solver"};
+      "topology", "trace", "tqos", "tlat", "intervals", "origin", "scope",
+      "solver"};
   static const std::set<std::string> kTelemetry = {"trace-out",
                                                    "trace-summary"};
   static const std::map<std::string, std::set<std::string>> kOwn = {
@@ -258,9 +258,6 @@ Loaded load(const Args& args) {
 
 bounds::BoundOptions bound_options(const Args& args) {
   bounds::BoundOptions options;
-  options.pdhg.time_limit_s = args.get_double("time-limit", 10);
-  if (options.pdhg.time_limit_s < 0)
-    args.reject("time-limit", "a non-negative number of seconds");
   const std::string solver = args.get("solver", "auto");
   if (solver == "simplex") {
     options.solver = bounds::BoundOptions::Solver::Simplex;
