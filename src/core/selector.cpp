@@ -97,11 +97,14 @@ SelectionReport HeuristicSelector::select(
   // parallelism 1 it solves every slot in order on its own. Solving on the
   // caller also reuses its allocator arena: a workers-only fan-out measured
   // ~2 MB more peak RSS on the case study at tqos 0.99. PDHG's matvec
-  // parallelism is disabled when solving concurrently, so the knob caps
-  // total concurrency.
+  // parallelism is disabled when solving concurrently and capped at the
+  // selector's parallelism when solving serially, so the knob caps total
+  // concurrency.
   const std::size_t helpers = std::min(parallelism, slots) - 1;
   bounds::BoundOptions bound_options = options_.bounds;
-  if (helpers > 0) bound_options.parallelism = 1;
+  const std::size_t matvec_cap = helpers > 0 ? 1 : parallelism;
+  if (bound_options.parallelism == 0 || bound_options.parallelism > matvec_cap)
+    bound_options.parallelism = matvec_cap;
   std::atomic<std::size_t> next{0};
   const auto drain = [&] {
     for (std::size_t slot = next++; slot < slots; slot = next++)

@@ -30,7 +30,8 @@ struct SelectorOptions {
   /// every class in order, serially. Reports are bit-identical for every
   /// value. Each simplex solve runs on its worker's thread; when solving
   /// concurrently, bounds.parallelism (PDHG's matvecs) is forced to 1 so
-  /// no pool nests inside the fan-out.
+  /// no pool nests inside the fan-out, and when solving serially it is
+  /// capped at this value (0 in bounds.parallelism takes this value).
   std::size_t parallelism = 0;
   /// Keep the full BoundDetail of every solve in SelectionReport::details
   /// (models, LP solutions with duals, rounding results). Off by default:

@@ -62,6 +62,8 @@ bool BasisLu::factorize(std::size_t m,
   r_nonzeros_ = 0;
   spike_valid_ = false;
   spike_pattern_valid_ = false;
+  singular_rows_.clear();
+  singular_positions_.clear();
 
   // Working copy of the active submatrix: rows as (col, value) lists —
   // values live here — and per-column lists of candidate rows that may be
@@ -184,7 +186,13 @@ bool BasisLu::factorize(std::size_t m,
       if (found && (best_merit == 0 || examined >= kSearchCap)) break;
     }
     for (const auto& [c, count] : recounts) set_count(c, count);
-    if (!found) return false;  // numerically singular
+    if (!found) {  // numerically singular: report what is left unpivoted
+      for (std::uint32_t i = 0; i < m; ++i) {
+        if (row_active[i]) singular_rows_.push_back(i);
+        if (col_active[i]) singular_positions_.push_back(i);
+      }
+      return false;
+    }
 
     // --- Eliminate. ---
     Step st;

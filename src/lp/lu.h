@@ -63,7 +63,11 @@ class BasisLu {
   /// columns[p] as (row, value) pairs. Discards any existing R-file.
   /// Returns false when the basis is structurally or numerically singular
   /// (no pivot above the absolute tolerance remains); the object is then
-  /// unusable until the next successful factorize().
+  /// unusable until the next successful factorize(), except that
+  /// singular_rows() and singular_positions() say where elimination
+  /// stopped. Replacing each listed position's column by the unit column
+  /// of the paired listed row gives a basis that is nonsingular in exact
+  /// arithmetic (the pivoted block plus unit columns).
   ///
   /// `pivot_threshold` in (0, 1] is the Markowitz threshold: a pivot must
   /// reach that fraction of its column's largest active entry. Larger is
@@ -114,6 +118,18 @@ class BasisLu {
   /// <= min_pivot or vanishes relative to the spike's largest entry (the
   /// stability guard); the caller must refactorize instead.
   bool update(std::size_t position, double min_pivot);
+
+  /// After a false factorize(): the constraint rows and the basis
+  /// positions (dependent columns) still unpivoted when the pivot search
+  /// found nothing, each ascending, both of length m minus the pivots
+  /// taken. Empty after a successful factorize(); cleared at the start of
+  /// every factorize().
+  const std::vector<std::uint32_t>& singular_rows() const {
+    return singular_rows_;
+  }
+  const std::vector<std::uint32_t>& singular_positions() const {
+    return singular_positions_;
+  }
 
   std::size_t dimension() const { return m_; }
   /// Basis changes absorbed since the last factorize().
@@ -167,6 +183,8 @@ class BasisLu {
 
   std::size_t m_ = 0;
   std::vector<Step> steps_;
+  std::vector<std::uint32_t> singular_rows_;
+  std::vector<std::uint32_t> singular_positions_;
   std::size_t update_count_ = 0;
   std::size_t baseline_nonzeros_ = 0;
 

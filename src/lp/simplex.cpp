@@ -94,7 +94,7 @@ class Simplex {
       // The dual method exists for the infeasible-start case.
       set_phase_costs(/*phase1=*/false);
       if (primal_feasible()) {
-        ++warm_accepted_;
+        count_warm_accepted();
         stall_count_ = 0;
         bland_ = false;
         LpSolution solution;
@@ -173,7 +173,7 @@ class Simplex {
     refresh_incremental_state();
     dual_shifted_ = false;
     make_dual_feasible();
-    if (warm) ++warm_accepted_;
+    if (warm) count_warm_accepted();
     stall_count_ = 0;
     bland_ = false;
     SolveStatus status = run_dual_phase();
@@ -301,6 +301,9 @@ class Simplex {
     if (warm_singular_ > 0)
       obs::counter_add("simplex.warm.singular",
                        static_cast<double>(warm_singular_));
+    if (warm_repaired_ > 0)
+      obs::counter_add("simplex.warm.repaired",
+                       static_cast<double>(warm_repaired_));
     if (warm_infeasible_ > 0)
       obs::counter_add("simplex.warm.infeasible",
                        static_cast<double>(warm_infeasible_));
@@ -817,13 +820,14 @@ class Simplex {
   }
 
   /// Attempt to start from the snapshot in options_.warm_start. On success
-  /// the basis is factorized and the basic values recomputed under the
-  /// *current* model's bounds. On any failure (no/empty snapshot, dense
-  /// basis, shape mismatch, singular for this model) the solver state is
+  /// the basis is factorized (repaired first if it is singular for this
+  /// model) and the basic values recomputed under the *current* model's
+  /// bounds. On any failure (no/empty snapshot, dense basis, shape
+  /// mismatch, a repair that still does not factorize) the solver state is
   /// left as reset_state() set it up and false is returned; the cold start
   /// then factorizes that basis. Every attempt ends in exactly one of
   /// warm_shape_, warm_singular_, warm_infeasible_ (run_phases) or
-  /// warm_accepted_ (the callers).
+  /// warm_accepted_ (the callers, through count_warm_accepted()).
   bool import_warm_start() {
     const BasisSnapshot* snap = options_.warm_start;
     if (snap == nullptr || snap->empty() || dense_basis()) return false;
@@ -841,7 +845,7 @@ class Simplex {
 
   /// Load the snapshot's statuses and basis; false (counted as a shape or
   /// singular outcome) when the basis list is malformed or the LU rejects
-  /// it.
+  /// it even after repair_singular_basis().
   bool apply_snapshot(const BasisSnapshot& snap) {
     const std::size_t nm = cols_.n + m_;
     // Nonbasic placement first: every structural and slack column to its
@@ -873,12 +877,44 @@ class Simplex {
       basis_[p] = j;
       status_[j] = VarStatus::Basic;
     }
-    if (!try_factorize_lu()) {
+    if (!try_factorize_lu() && !repair_singular_basis()) {
       ++warm_singular_;
       return false;
     }
     recompute_basic_values();
     return true;
+  }
+
+  /// Repair an imported basis the LU found singular instead of dropping
+  /// it: each dependent column the factorization could not pivot leaves
+  /// the basis (a snapshot-basic artificial, bounded to [0, 0] here, stays
+  /// pinned at 0), and the logical of the paired unpivoted row takes its
+  /// position — the row's slack, or its artificial when the slack is
+  /// already basic. The pivoted block plus unit columns is nonsingular, so
+  /// one more factorization settles it; its result is returned. The dual's
+  /// make_dual_feasible absorbs the changed statuses, and a primal import
+  /// still has to pass primal_feasible().
+  bool repair_singular_basis() {
+    const std::vector<std::uint32_t>& rows = lu_.singular_rows();
+    const std::vector<std::uint32_t>& positions = lu_.singular_positions();
+    for (const std::uint32_t p : positions)
+      set_nonbasic_status(basis_[p], BasisSnapshot::AtLower);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t slack = cols_.n + rows[i];
+      const std::size_t j =
+          status_[slack] == VarStatus::Basic ? slack + m_ : slack;
+      basis_[positions[i]] = j;
+      status_[j] = VarStatus::Basic;
+    }
+    import_repaired_ = true;
+    return try_factorize_lu();
+  }
+
+  /// An import was accepted; it counts as repaired too when
+  /// repair_singular_basis() had to fix it.
+  void count_warm_accepted() {
+    ++warm_accepted_;
+    if (import_repaired_) ++warm_repaired_;
   }
 
   /// Place column j nonbasic per the snapshot status, degrading to the
@@ -1865,7 +1901,9 @@ class Simplex {
   std::size_t warm_attempts_ = 0;
   std::size_t warm_accepted_ = 0;
   std::size_t warm_shape_ = 0;       // wrong dimensions or basis list
-  std::size_t warm_singular_ = 0;    // the LU rejected the basis
+  std::size_t warm_singular_ = 0;    // the LU rejected the repaired basis
+  std::size_t warm_repaired_ = 0;    // accepted imports that needed repair
+  bool import_repaired_ = false;     // repair_singular_basis() ran
   std::size_t warm_infeasible_ = 0;  // primal import outside its bounds
   std::size_t dual_solves_ = 0;
   std::size_t dual_fallbacks_ = 0;

@@ -57,10 +57,14 @@ struct SimplexOptions {
 
   /// Optional starting basis from a previous solve of a same-shaped model
   /// (LpSolution::basis). Borrowed for the duration of the solve. Ignored
-  /// when empty, shape-incompatible, singular for the new model, or the
-  /// basis is DenseInverse; a primal solve additionally requires the
-  /// imported point to be primal feasible (the dual method exists precisely
-  /// because re-optimization starts usually are not).
+  /// when empty, shape-incompatible, or the basis is DenseInverse. A basis
+  /// singular for the new model is repaired, not ignored: each dependent
+  /// column the LU could not pivot is swapped for the logical (slack, else
+  /// artificial) of an unpivoted row, counted as `simplex.warm.repaired`;
+  /// only a repair that still does not factorize is ignored. A primal solve
+  /// additionally requires the imported point to be primal feasible (the
+  /// dual method exists precisely because re-optimization starts usually
+  /// are not).
   const BasisSnapshot* warm_start = nullptr;
 
   std::size_t max_iterations = 0;  // 0 = automatic (scales with model size)

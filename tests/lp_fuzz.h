@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "lp/model.h"
 #include "util/rng.h"
@@ -174,6 +175,57 @@ inline FuzzLp fuzz_warm_perturbed(const FuzzLp& in, std::uint64_t seed) {
     if (rng.bernoulli(0.25))
       out.model.set_objective(j,
                               out.model.objective(j) + rng.uniform(-0.3, 0.3));
+  }
+  return out;
+}
+
+/// Rewrite a seeded subset of rows in place (LpModel::set_row), keeping
+/// the shape: a rewritten row either copies a scaled multiple of another
+/// row's coefficients or drops some of its own, the way a latency flap
+/// rewrites the daemon's coverage rows. Its right-hand side puts `point`
+/// (the base instance's optimum, when it has one) on or inside the row,
+/// so the partner usually stays feasible while a carried optimal basis
+/// often turns singular: proportional rows tight at the old vertex, or a
+/// basic column whose entries vanished.
+inline FuzzLp fuzz_warm_rewritten(const FuzzLp& in,
+                                  const std::vector<double>& point,
+                                  std::uint64_t seed) {
+  Rng rng(seed ^ 0xC0FFEEULL);
+  FuzzLp out = in;
+  const std::size_t rows = out.model.row_count();
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (!rng.bernoulli(0.35)) continue;
+    std::vector<std::size_t> cols;
+    std::vector<double> coeffs;
+    const std::size_t other = rng.uniform_index(rows);
+    if (other != r && rng.bernoulli(0.5)) {
+      const double scale = rng.uniform(0.5, 2);
+      cols = in.model.row(other).cols;
+      for (const double a : in.model.row(other).coeffs)
+        coeffs.push_back(scale * a);
+    } else {
+      const lp::RowSpec& row = in.model.row(r);
+      for (std::size_t k = 0; k < row.cols.size(); ++k) {
+        if (!rng.bernoulli(0.6)) continue;
+        cols.push_back(row.cols[k]);
+        coeffs.push_back(row.coeffs[k]);
+      }
+    }
+    double activity = 0;
+    for (std::size_t k = 0; k < cols.size(); ++k)
+      activity += coeffs[k] * (cols[k] < point.size() ? point[cols[k]] : 0.0);
+    const double slack = rng.bernoulli(0.6) ? 0.0 : rng.uniform(0, 0.5);
+    switch (in.model.row(r).type) {
+      case lp::RowType::Ge:
+        out.model.set_row(r, activity - slack, cols, coeffs);
+        break;
+      case lp::RowType::Le:
+        out.model.set_row(r, activity + slack, cols, coeffs);
+        break;
+      case lp::RowType::Eq:
+        out.model.set_row(r, activity, cols, coeffs);
+        break;
+    }
   }
   return out;
 }

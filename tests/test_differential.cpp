@@ -33,6 +33,7 @@
 #include "lp_fuzz.h"
 #include "mcperf/builder.h"
 #include "mcperf/heuristic_class.h"
+#include "obs/metrics.h"
 
 namespace wanplace::lp {
 namespace {
@@ -198,31 +199,36 @@ TEST(FuzzAdversarial, TargetedLpsShard3) {
 // path must never change what the solver reports, only how fast it gets
 // there), and the PDHG certificate must stay a valid lower bound on the
 // exact optimum to the same 1e-7.
-void check_warm_pair(std::uint64_t base, std::uint64_t offset) {
-  const auto fuzz = test::fuzz_lp(base + offset);
-  const auto tag = case_tag("warm", base, offset, fuzz);
-  const auto perturbed = test::fuzz_warm_perturbed(fuzz, base + offset);
-
-  const auto seed_sol = solve_simplex(fuzz.model, ft_options());
-  const auto cold = solve_simplex(perturbed.model, ft_options());
+void check_warm_against_cold(const LpModel& perturbed,
+                             const LpSolution& seed_sol,
+                             const std::string& tag) {
+  const auto cold = solve_simplex(perturbed, ft_options());
 
   auto dual_opts = ft_options();
   dual_opts.method = SimplexOptions::Method::Dual;
   if (!seed_sol.basis.empty()) dual_opts.warm_start = &seed_sol.basis;
-  const auto warm = solve_simplex(perturbed.model, dual_opts);
+  const auto warm = solve_simplex(perturbed, dual_opts);
 
   ASSERT_EQ(warm.status, cold.status) << tag;
   if (cold.status != SolveStatus::Optimal) return;
   const double scale = 1 + std::abs(cold.objective);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7 * scale) << tag;
   EXPECT_LE(warm.dual_bound, cold.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(perturbed.model.max_violation(warm.x), 1e-6) << tag;
+  EXPECT_LE(perturbed.max_violation(warm.x), 1e-6) << tag;
 
   PdhgOptions pdhg;
   pdhg.max_iterations = 60000;
   pdhg.tolerance = 1e-6;
-  const auto pd_cold = solve_pdhg(perturbed.model, pdhg);
+  const auto pd_cold = solve_pdhg(perturbed, pdhg);
   EXPECT_LE(pd_cold.dual_bound, cold.objective + 1e-7 * scale) << tag;
+}
+
+void check_warm_pair(std::uint64_t base, std::uint64_t offset) {
+  const auto fuzz = test::fuzz_lp(base + offset);
+  const auto seed_sol = solve_simplex(fuzz.model, ft_options());
+  check_warm_against_cold(
+      test::fuzz_warm_perturbed(fuzz, base + offset).model, seed_sol,
+      case_tag("warm", base, offset, fuzz));
 }
 
 // 4 x WANPLACE_FUZZ_COUNT (default 60) = 240 perturbed-bound pairs.
@@ -248,6 +254,34 @@ TEST(FuzzWarm, PerturbedBoundPairsShard3) {
   const std::uint64_t base = test::fuzz_base_seed();
   const std::uint64_t n = test::fuzz_shard_count();
   for (std::uint64_t i = 3 * n; i < 4 * n; ++i) check_warm_pair(base, i);
+}
+
+// Coefficient-rewrite shard: the partner rewrites rows (tests/lp_fuzz.h
+// fuzz_warm_rewritten — the shape of a latency flap's coverage rewrite)
+// around the base optimum, so carried bases often turn singular and the
+// warm import has to repair them. Same checks as the bound pairs, and the
+// repair must actually fire.
+TEST(FuzzWarm, RewrittenRowPairs) {
+  const std::uint64_t base = test::fuzz_base_seed();
+  const std::uint64_t n = test::fuzz_shard_count();
+  obs::Registry::global().enable(true);
+  obs::Registry::global().reset();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto fuzz = test::fuzz_lp(base + i);
+    const auto seed_sol = solve_simplex(fuzz.model, ft_options());
+    const std::vector<double> point =
+        seed_sol.status == SolveStatus::Optimal ? seed_sol.x
+                                                : std::vector<double>{};
+    check_warm_against_cold(
+        test::fuzz_warm_rewritten(fuzz, point, base + i).model, seed_sol,
+        case_tag("warm-rewrite", base, i, fuzz));
+  }
+  const auto snapshot = obs::Registry::global().snapshot();
+  obs::Registry::global().enable(false);
+  obs::Registry::global().reset();
+  const auto repaired = snapshot.find("simplex.warm.repaired");
+  ASSERT_NE(repaired, snapshot.end());
+  EXPECT_GE(repaired->second.sum, 1.0);
 }
 
 // Stress shard: replay a seeded mix of classic and adversarial instances

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -240,6 +241,64 @@ TEST(LuBasis, SingularBasisRejected) {
   EXPECT_NEAR(x[0], 3, 1e-12);
   EXPECT_NEAR(x[1], 1, 1e-12);
   EXPECT_NEAR(x[2], 2, 1e-12);
+}
+
+/// Factorize a rank-deficient basis, expect `rank_gap` dependent columns
+/// reported, swap each for the unit column of its paired unpivoted row, and
+/// check the repaired basis factorizes and solves exactly.
+void expect_repairable(LuColumns columns, std::size_t rank_gap) {
+  const std::size_t m = columns.size();
+  BasisLu lu;
+  ASSERT_FALSE(lu.factorize(m, columns));
+  const auto rows = lu.singular_rows();
+  const auto positions = lu.singular_positions();
+  ASSERT_EQ(rows.size(), rank_gap);
+  ASSERT_EQ(positions.size(), rank_gap);
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  EXPECT_TRUE(std::is_sorted(positions.begin(), positions.end()));
+  for (std::size_t i = 0; i < rank_gap; ++i)
+    columns[positions[i]] = {{rows[i], 1.0}};
+  ASSERT_TRUE(lu.factorize(m, columns));
+  EXPECT_TRUE(lu.singular_rows().empty());
+  EXPECT_TRUE(lu.singular_positions().empty());
+  Rng rng(17);
+  std::vector<double> x_true(m);
+  for (auto& v : x_true) v = rng.uniform(-3, 3);
+  auto rhs = basis_multiply(columns, x_true);
+  lu.ftran(rhs);
+  for (std::size_t p = 0; p < m; ++p) EXPECT_NEAR(rhs[p], x_true[p], 1e-12);
+}
+
+TEST(LuBasis, SingularBasisReportsDependentColumns) {
+  // Columns (1, 2) and (2, 4): rank 1.
+  LuColumns pair(2);
+  pair[0] = {{0, 1.0}, {1, 2.0}};
+  pair[1] = {{0, 2.0}, {1, 4.0}};
+  expect_repairable(pair, 1);
+
+  // A nonsingular 6 x 6 basis whose columns 2 and 5 are overwritten by
+  // combinations of the others: rank 4.
+  Rng rng(13);
+  LuColumns six = random_basis_columns(rng, 6);
+  const auto combine = [&](std::size_t p, std::size_t a, double ca,
+                           std::size_t b, double cb) {
+    std::vector<double> dense(6, 0.0);
+    for (const auto& e : six[a]) dense[e.index] += ca * e.value;
+    for (const auto& e : six[b]) dense[e.index] += cb * e.value;
+    six[p].clear();
+    for (std::uint32_t r = 0; r < 6; ++r)
+      if (dense[r] != 0) six[p].push_back({r, dense[r]});
+  };
+  combine(2, 0, 1.0, 1, 2.0);
+  combine(5, 3, 1.0, 4, -1.0);
+  expect_repairable(six, 2);
+
+  // A successful factorize clears the lists.
+  BasisLu lu;
+  ASSERT_FALSE(lu.factorize(2, pair));
+  ASSERT_TRUE(lu.factorize(6, random_basis_columns(rng, 6)));
+  EXPECT_TRUE(lu.singular_rows().empty());
+  EXPECT_TRUE(lu.singular_positions().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,7 +1273,9 @@ TEST(SimplexDual, WarmPrimalAcceptsFeasibleBasis) {
 
 TEST(SimplexDual, WarmImportOutcomesAreCounted) {
   // One solve per outcome of a warm import; every attempt lands in exactly
-  // one outcome counter, and every solve still reaches the cold optimum.
+  // one outcome counter, and every solve still reaches the cold optimum. A
+  // singular snapshot is repaired (its dependent column swapped for a
+  // slack) and accepted, so it counts as accepted and repaired.
   const auto model = dual_fixture();
   const auto first = solve_simplex(model);
   ASSERT_EQ(first.status, SolveStatus::Optimal);
@@ -1253,7 +1314,7 @@ TEST(SimplexDual, WarmImportOutcomesAreCounted) {
   solve(model, first.basis, Method::Dual);    // accepted
   solve(model, wrong_dims, Method::Primal);   // shape
   solve(model, duplicate, Method::Dual);      // shape
-  solve(dependent, singular, Method::Primal);  // singular
+  solve(dependent, singular, Method::Primal);  // repaired, accepted
   solve(tightened, first.basis, Method::Primal);  // infeasible
   const auto snapshot = obs::Registry::global().snapshot();
   obs::Registry::global().enable(false);
@@ -1264,10 +1325,12 @@ TEST(SimplexDual, WarmImportOutcomesAreCounted) {
     return it == snapshot.end() ? 0.0 : it->second.sum;
   };
   EXPECT_EQ(count("simplex.warm.attempts"), 6.0);
-  EXPECT_EQ(count("simplex.warm.accepted"), 2.0);
+  EXPECT_EQ(count("simplex.warm.accepted"), 3.0);
+  EXPECT_EQ(count("simplex.warm.repaired"), 1.0);
   EXPECT_EQ(count("simplex.warm.shape"), 2.0);
-  EXPECT_EQ(count("simplex.warm.singular"), 1.0);
+  EXPECT_EQ(count("simplex.warm.singular"), 0.0);
   EXPECT_EQ(count("simplex.warm.infeasible"), 1.0);
+  EXPECT_LE(count("simplex.warm.repaired"), count("simplex.warm.accepted"));
   EXPECT_EQ(count("simplex.warm.attempts"),
             count("simplex.warm.accepted") + count("simplex.warm.shape") +
                 count("simplex.warm.singular") +
