@@ -1,11 +1,10 @@
-// Micro-benchmark of the LP substrate: bounded-variable simplex under the
-// default Forrest-Tomlin basis with dynamic Devex pricing, vs the seed's
-// dense explicit inverse, vs restarted PDHG, on random feasible LPs of
-// growing size plus a real ~3900-row MC-PERF relaxation. Reports solve
-// time and iteration count per path and the certified-bound agreement.
-// Explains the engine's Auto policy: with a sparse basis the simplex stays
-// exact and fast to a few thousand rows (the dense inverse gave out around
-// 600), PDHG takes over beyond that.
+// Micro-benchmark of the LP substrate: bounded-variable simplex over its
+// Forrest-Tomlin-updated sparse LU basis with dynamic Devex pricing, vs
+// restarted PDHG, on random feasible LPs of growing size plus a real
+// ~3900-row MC-PERF relaxation. Reports solve time and iteration count per
+// solver and the certified-bound agreement. Explains the engine's Auto
+// policy: with a sparse basis the simplex stays exact and fast to a few
+// thousand rows, PDHG takes over beyond that.
 #include "common.h"
 
 #include <algorithm>
@@ -346,8 +345,7 @@ void run_event_replay(::benchmark::State& state) {
 }
 
 struct Paths {
-  bool ft = true;     // Forrest-Tomlin + dynamic Devex (the default)
-  bool dense = true;  // the dense inverse is O(m^2)/pivot — cap its size
+  bool ft = true;          // the simplex (Forrest-Tomlin + dynamic Devex)
   bool factorize = false;  // time refactorizations of the optimal ft basis
 };
 
@@ -395,13 +393,13 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
   // Timings and iteration counts are read back from the telemetry registry
   // (reset before each path) rather than the LpSolution fields, so these
   // columns agree with any trace of the same solve by construction.
-  double ft_s = 0, ft_obj = 0, dense_s = 0, pdhg_s = 0;
+  double ft_s = 0, ft_obj = 0, pdhg_s = 0;
   double ft_sparse_frac = 0, lu_ms = 0;
   std::size_t ft_it = 0, re_cold_it = 0, re_warm_it = 0;
   lp::LpSolution pdhg;
   for (auto _ : state) {
     if (paths.ft) {
-      lp::SimplexOptions options;  // defaults: ForrestTomlin
+      lp::SimplexOptions options;
       bench::reset_metrics();
       const auto exact = lp::solve_simplex(model, options);
       ft_s = bench::metric_sum("simplex.solve_seconds");
@@ -437,13 +435,6 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
       re_warm_it = static_cast<std::size_t>(
           bench::metric_sum("simplex.iterations"));
     }
-    if (paths.dense) {
-      lp::SimplexOptions options;
-      options.basis = lp::SimplexOptions::Basis::DenseInverse;
-      bench::reset_metrics();
-      lp::solve_simplex(model, options);
-      dense_s = bench::metric_sum("simplex.solve_seconds");
-    }
     lp::PdhgOptions options;
     options.tolerance = pdhg_tolerance;
     options.max_iterations = pdhg_iterations;
@@ -467,7 +458,6 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
                      : std::string("-"))
       .cell(paths.ft ? format_number(ft_obj, 3) : std::string("-"))
       .cell(paths.factorize ? format_number(lu_ms, 3) : std::string("-"))
-      .cell(paths.dense ? format_number(dense_s, 3) : std::string("-"))
       .cell(pdhg_s, 3)
       .cell(pdhg.dual_bound, 3)
       .cell(paths.ft ? format_number(gap, 7) : std::string("-"))
@@ -478,7 +468,7 @@ void run_point(::benchmark::State& state, const lp::LpModel& model,
 
 void register_points() {
   bench::results({"vars", "rows", "ft-s", "ft-it", "ft-us/it", "sparse%",
-                  "ft-obj", "lu-ms", "dense-s", "pdhg-s", "pdhg-bound",
+                  "ft-obj", "lu-ms", "pdhg-s", "pdhg-bound",
                   "rel-gap", "re-cold-it", "re-warm-it"});
   struct Size {
     std::size_t vars, rows;
@@ -486,12 +476,9 @@ void register_points() {
     std::size_t pdhg_iterations;
   };
   for (const Size size :
-       {Size{60, 40, {true, true}, 200'000},
-        Size{250, 180, {true, true}, 200'000},
-        Size{1000, 700, {true, true}, 200'000},
-        // Dense refactorizations are O(m^3) past this point: FT + PDHG only.
-        Size{4000, 3000, {true, false}, 200'000},
-        Size{8000, 6000, {false, false}, 200'000}}) {
+       {Size{60, 40, {true}, 200'000}, Size{250, 180, {true}, 200'000},
+        Size{1000, 700, {true}, 200'000}, Size{4000, 3000, {true}, 200'000},
+        Size{8000, 6000, {false}, 200'000}}) {
     const std::string label = "lp/" + std::to_string(size.vars) + "x" +
                               std::to_string(size.rows);
     ::benchmark::RegisterBenchmark(
@@ -514,7 +501,7 @@ void register_points() {
       "lp/mcperf-8x8x60-q90",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.9);
-        run_point(state, model, {true, false, true}, 2'000'000, 1e-8);
+        run_point(state, model, {true, true}, 2'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);
@@ -536,7 +523,7 @@ void register_points() {
       "lp/mcperf-8x8x60-q99",
       [](::benchmark::State& state) {
         const auto model = mcperf_lp(0.99);
-        run_point(state, model, {true, false}, 1'000'000, 1e-8);
+        run_point(state, model, {true}, 1'000'000, 1e-8);
       })
       ->Iterations(1)
       ->Unit(::benchmark::kSecond);

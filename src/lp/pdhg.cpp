@@ -126,17 +126,24 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
   const std::size_t cols = model.variable_count();
 
   if (rows == 0) {
-    // Pure box problem: each variable sits at its cheaper bound.
+    // Pure box problem: each variable sits at its cheaper bound, a
+    // zero-cost one at 0 clamped into its box. A nonzero cost toward an
+    // infinite bound makes the LP unbounded; the empty dual certifies
+    // -infinity then, and the objective value otherwise.
     solution.x.resize(cols);
+    solution.status = SolveStatus::Optimal;
     for (std::size_t j = 0; j < cols; ++j) {
       const double c = model.objective(j);
-      solution.x[j] = c >= 0 ? model.lower(j) : model.upper(j);
-      WANPLACE_REQUIRE(std::isfinite(solution.x[j]),
-                       "unbounded box variable");
+      const double cheaper = c > 0 ? model.lower(j) : model.upper(j);
+      if (c == 0 || !std::isfinite(cheaper)) {
+        solution.x[j] = std::clamp(0.0, model.lower(j), model.upper(j));
+        if (c != 0) solution.status = SolveStatus::Unbounded;
+      } else {
+        solution.x[j] = cheaper;
+      }
     }
     solution.objective = model.objective_value(solution.x);
-    solution.dual_bound = solution.objective;
-    solution.status = SolveStatus::Optimal;
+    solution.dual_bound = certified_dual_bound(model, solution.y);
     solution.solve_seconds = watch.elapsed_seconds();
     return solution;
   }

@@ -67,7 +67,9 @@ class Simplex {
     obs::Span span("simplex");
     build_columns();
     reset_state();
-    const LpSolution solution = use_dual() ? run_dual() : run_phases();
+    const LpSolution solution =
+        options_.method == SimplexOptions::Method::Dual ? run_dual()
+                                                        : run_phases();
     if (span.active()) {
       span.attr("rows", static_cast<double>(m_));
       span.attr("cols", static_cast<double>(cols_.n));
@@ -79,12 +81,6 @@ class Simplex {
   }
 
  private:
-  /// The dual method needs the LU machinery (BTRAN of unit vectors, FT
-  /// updates); under the dense inverse it silently degrades to the primal.
-  bool use_dual() const {
-    return options_.method == SimplexOptions::Method::Dual && !dense_basis();
-  }
-
   LpSolution run_phases() {
     Stopwatch watch;
 
@@ -250,7 +246,7 @@ class Simplex {
   /// Count the cause and sample the update-file state the trigger saw.
   void note_refactor(RefactorCause cause) {
     ++refactor_cause_[static_cast<std::size_t>(cause)];
-    if (!dense_basis() && obs::metrics_enabled())
+    if (obs::metrics_enabled())
       obs::histogram_record("lu.r_file_len",
                             static_cast<double>(lu_.r_nonzeros()));
   }
@@ -339,23 +335,18 @@ class Simplex {
 
   std::size_t total_columns() const { return cols_.n + 2 * m_; }
 
-  bool dense_basis() const {
-    return options_.basis == SimplexOptions::Basis::DenseInverse;
-  }
-
   double feasibility_tol() const {
     return options_.tolerance * 10 * (1 + rhs_scale_);
   }
 
   std::size_t effective_refactor_period() const {
-    if (options_.refactor_period > 0) return options_.refactor_period;
-    return dense_basis() ? 640 : 4096;
+    return options_.refactor_period > 0 ? options_.refactor_period : 4096;
   }
 
-  /// Refactor policy after a basis change on the LU path (`updated` says
-  /// whether the Forrest–Tomlin update was accepted). Returns true, with
-  /// the cause, when the basis must be refactorized now. The fill guard:
-  /// updates add spike + elimination fill that only a fresh factorization
+  /// Refactor policy after a basis change (`updated` says whether the
+  /// Forrest–Tomlin update was accepted). Returns true, with the cause,
+  /// when the basis must be refactorized now. The fill guard: updates add
+  /// spike + elimination fill that only a fresh factorization
   /// re-compresses; the +64 floor keeps tiny bases from refactorizing on
   /// noise.
   bool refactor_due(bool updated, std::size_t pivots_since_refactor,
@@ -458,7 +449,6 @@ class Simplex {
     // the slack bounds cannot.
     basis_.resize(m_);
     cols_.art_sign.assign(m_, 1.0);
-    if (dense_basis()) binv_.assign(m_ * m_, 0.0);
     for (std::size_t r = 0; r < m_; ++r) {
       const std::size_t s = n + r;
       const std::size_t a = n + m_ + r;
@@ -470,7 +460,6 @@ class Simplex {
         basis_[r] = s;
         lower_[a] = upper_[a] = 0;
         status_[a] = VarStatus::AtLower;
-        if (dense_basis()) binv_[r * m_ + r] = 1.0;
       } else {
         const double pinned = std::clamp(need, lower_[s], upper_[s]);
         x_[s] = pinned;
@@ -483,7 +472,6 @@ class Simplex {
         x_[a] = std::abs(residual);
         status_[a] = VarStatus::Basic;
         basis_[r] = a;
-        if (dense_basis()) binv_[r * m_ + r] = cols_.art_sign[r];
       }
     }
     cost_.assign(total, 0.0);
@@ -493,11 +481,9 @@ class Simplex {
 
   /// Factorize the slack/artificial basis reset_state() set up. Only a
   /// cold start pays for this: a warm start factorizes the snapshot's basis
-  /// instead, so reset_state() leaves the LU alone. (The dense inverse is
-  /// already set.)
+  /// instead, so reset_state() leaves the LU alone.
   void factorize_cold_basis() {
-    if (!dense_basis())
-      WANPLACE_CHECK(try_factorize_lu(), "singular slack basis");
+    WANPLACE_CHECK(try_factorize_lu(), "singular slack basis");
   }
 
   void set_phase_costs(bool phase1) {
@@ -517,20 +503,10 @@ class Simplex {
   }
 
   void compute_duals(std::vector<double>& y) const {
-    if (!dense_basis()) {
-      // y = B^{-T} c_B: load basic costs in position space, BTRAN in place.
-      y.resize(m_);
-      for (std::size_t p = 0; p < m_; ++p) y[p] = cost_[basis_[p]];
-      lu_.btran(y);
-      return;
-    }
-    y.assign(m_, 0.0);
-    for (std::size_t p = 0; p < m_; ++p) {
-      const double cb = cost_[basis_[p]];
-      if (cb == 0) continue;
-      const double* binv_row = &binv_[p * m_];
-      for (std::size_t i = 0; i < m_; ++i) y[i] += cb * binv_row[i];
-    }
+    // y = B^{-T} c_B: load basic costs in position space, BTRAN in place.
+    y.resize(m_);
+    for (std::size_t p = 0; p < m_; ++p) y[p] = cost_[basis_[p]];
+    lu_.btran(y);
   }
 
   double reduced_cost(std::size_t j, const std::vector<double>& y) const {
@@ -539,14 +515,13 @@ class Simplex {
     return d;
   }
 
-  /// Hyper-sparse kernels engage only under Forrest–Tomlin (the dense
-  /// inverse has no sparse solve API) and an enabled density threshold.
+  /// Hyper-sparse kernels engage under an enabled density threshold.
   /// The decision depends on the options and the solve history alone —
   /// never on telemetry or thread count — and both paths compute
   /// bit-identical nonzero values, so flipping the knob can change
   /// runtimes but not answers.
   bool use_sparse_kernels() const {
-    return !dense_basis() && options_.sparse_density_threshold > 0.0;
+    return options_.sparse_density_threshold > 0.0;
   }
 
   /// Adaptive attempt gate. On fill-heavy bases every sparse attempt
@@ -592,32 +567,26 @@ class Simplex {
   /// w = Binv * A_q
   void compute_direction(std::size_t q, std::vector<double>& w) {
     w.assign(m_, 0.0);
-    if (!dense_basis()) {
-      if (use_sparse_kernels() && sparse_attempt_allowed(ftran_gate_)) {
-        rhs_pattern_.clear();
-        cols_.for_column(q, [&](std::size_t r, double v) {
-          w[r] += v;
-          rhs_pattern_.push_back(static_cast<std::uint32_t>(r));
-        });
-        note_rhs_density(rhs_pattern_.size());
-        const bool went_sparse = lu_.ftran_sparse(
-            w, rhs_pattern_, options_.sparse_density_threshold);
-        note_sparse_outcome(ftran_gate_, went_sparse);
-        if (went_sparse) {
-          ++ftran_sparse_;
-        } else {
-          ++ftran_dense_;
-        }
-        return;
+    if (use_sparse_kernels() && sparse_attempt_allowed(ftran_gate_)) {
+      rhs_pattern_.clear();
+      cols_.for_column(q, [&](std::size_t r, double v) {
+        w[r] += v;
+        rhs_pattern_.push_back(static_cast<std::uint32_t>(r));
+      });
+      note_rhs_density(rhs_pattern_.size());
+      const bool went_sparse = lu_.ftran_sparse(
+          w, rhs_pattern_, options_.sparse_density_threshold);
+      note_sparse_outcome(ftran_gate_, went_sparse);
+      if (went_sparse) {
+        ++ftran_sparse_;
+      } else {
+        ++ftran_dense_;
       }
-      cols_.for_column(q, [&](std::size_t r, double v) { w[r] += v; });
-      lu_.ftran(w);
-      ++ftran_dense_;
       return;
     }
-    cols_.for_column(q, [&](std::size_t r, double v) {
-      for (std::size_t p = 0; p < m_; ++p) w[p] += v * binv_[p * m_ + r];
-    });
+    cols_.for_column(q, [&](std::size_t r, double v) { w[r] += v; });
+    lu_.ftran(w);
+    ++ftran_dense_;
   }
 
   /// rho_ = B^{-T} e_p, tracking the result's nonzero pattern when the
@@ -738,51 +707,12 @@ class Simplex {
     // sparse kernels get an immediate retry regardless of prior bails.
     ftran_gate_ = SparseGate{};
     btran_gate_ = SparseGate{};
-    if (!dense_basis()) {
-      if (try_factorize_lu()) {
-        recompute_basic_values();
-      } else {
-        note_rollback();
-        restore_good_basis();
-      }
-      return;
+    if (try_factorize_lu()) {
+      recompute_basic_values();
+    } else {
+      note_rollback();
+      restore_good_basis();
     }
-    // Gauss-Jordan inversion of the basis matrix with partial pivoting.
-    std::vector<double> b(m_ * m_, 0.0);
-    for (std::size_t p = 0; p < m_; ++p)
-      cols_.for_column(basis_[p],
-                       [&](std::size_t r, double v) { b[r * m_ + p] = v; });
-    std::vector<double> inv(m_ * m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) inv[i * m_ + i] = 1.0;
-    for (std::size_t col = 0; col < m_; ++col) {
-      std::size_t piv = col;
-      for (std::size_t r = col + 1; r < m_; ++r)
-        if (std::abs(b[r * m_ + col]) > std::abs(b[piv * m_ + col])) piv = r;
-      WANPLACE_CHECK(std::abs(b[piv * m_ + col]) > 1e-12,
-                     "singular basis during refactorization");
-      if (piv != col) {
-        for (std::size_t cidx = 0; cidx < m_; ++cidx) {
-          std::swap(b[piv * m_ + cidx], b[col * m_ + cidx]);
-          std::swap(inv[piv * m_ + cidx], inv[col * m_ + cidx]);
-        }
-      }
-      const double scale = 1.0 / b[col * m_ + col];
-      for (std::size_t cidx = 0; cidx < m_; ++cidx) {
-        b[col * m_ + cidx] *= scale;
-        inv[col * m_ + cidx] *= scale;
-      }
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == col) continue;
-        const double factor = b[r * m_ + col];
-        if (factor == 0) continue;
-        for (std::size_t cidx = 0; cidx < m_; ++cidx) {
-          b[r * m_ + cidx] -= factor * b[col * m_ + cidx];
-          inv[r * m_ + cidx] -= factor * inv[col * m_ + cidx];
-        }
-      }
-    }
-    binv_ = std::move(inv);
-    recompute_basic_values();
   }
 
   void recompute_basic_values() {
@@ -793,17 +723,8 @@ class Simplex {
       cols_.for_column(
           j, [&](std::size_t r, double v) { residual[r] -= v * x_[j]; });
     }
-    if (!dense_basis()) {
-      lu_.ftran(residual);
-      for (std::size_t p = 0; p < m_; ++p) x_[basis_[p]] = residual[p];
-      return;
-    }
-    for (std::size_t p = 0; p < m_; ++p) {
-      double value = 0;
-      const double* binv_row = &binv_[p * m_];
-      for (std::size_t r = 0; r < m_; ++r) value += binv_row[r] * residual[r];
-      x_[basis_[p]] = value;
-    }
+    lu_.ftran(residual);
+    for (std::size_t p = 0; p < m_; ++p) x_[basis_[p]] = residual[p];
   }
 
   /// Recompute the incremental state (duals, phase objective and the
@@ -822,15 +743,15 @@ class Simplex {
   /// Attempt to start from the snapshot in options_.warm_start. On success
   /// the basis is factorized (repaired first if it is singular for this
   /// model) and the basic values recomputed under the *current* model's
-  /// bounds. On any failure (no/empty snapshot, dense basis, shape
-  /// mismatch, a repair that still does not factorize) the solver state is
-  /// left as reset_state() set it up and false is returned; the cold start
-  /// then factorizes that basis. Every attempt ends in exactly one of
+  /// bounds. On any failure (no/empty snapshot, shape mismatch, a repair
+  /// that still does not factorize) the solver state is left as
+  /// reset_state() set it up and false is returned; the cold start then
+  /// factorizes that basis. Every attempt ends in exactly one of
   /// warm_shape_, warm_singular_, warm_infeasible_ (run_phases) or
   /// warm_accepted_ (the callers, through count_warm_accepted()).
   bool import_warm_start() {
     const BasisSnapshot* snap = options_.warm_start;
-    if (snap == nullptr || snap->empty() || dense_basis()) return false;
+    if (snap == nullptr || snap->empty()) return false;
     ++warm_attempts_;
     if (!snap->compatible(cols_.n, m_)) {
       ++warm_shape_;
@@ -1600,8 +1521,7 @@ class Simplex {
       // near-degenerate column. Rebuild the factorization and retry the
       // iteration on drift-free numbers; after the rebuild the update file
       // is empty, so the retried pivot is trusted.
-      if (!dense_basis() && leaving_pos != SIZE_MAX &&
-          lu_.update_count() > 0 &&
+      if (leaving_pos != SIZE_MAX && lu_.update_count() > 0 &&
           std::abs(w[leaving_pos]) < options_.lu_stability_tolerance) {
         note_refactor(RefactorCause::Drift);
         refactorize();
@@ -1619,7 +1539,7 @@ class Simplex {
       // (discovered only at the next refactorization, long after the
       // damage). Rebuild and retry instead. rho_ is reused below for the
       // dual update, so the test costs one sparse column dot.
-      if (!dense_basis() && leaving_pos != SIZE_MAX) {
+      if (leaving_pos != SIZE_MAX) {
         compute_rho(leaving_pos);
         const double pivot_btran = cols_.dot(entering, rho_);
         if (lu_.update_count() > 0 &&
@@ -1665,100 +1585,70 @@ class Simplex {
 
         const double pivot = w[leaving_pos];
         WANPLACE_CHECK(std::abs(pivot) > pivot_tol, "zero pivot");
-        if (!dense_basis()) {
-          // Incremental dual update before the basis update is applied:
-          // with the old basis, y' = y + (d_entering / pivot) *
-          // (B_old^{-T} e_p). rho_ still holds B_old^{-T} e_p from the
-          // pivot agreement test above (no LU mutation since), and doubles
-          // as the pivot row for the dynamic-Devex pass below.
-          const double scale = choice.reduced / pivot;
-          for (std::size_t i = 0; i < m_; ++i) y_[i] += scale * rho_[i];
-          duals_clean_ = false;
+        // Incremental dual update before the basis update is applied:
+        // with the old basis, y' = y + (d_entering / pivot) *
+        // (B_old^{-T} e_p). rho_ still holds B_old^{-T} e_p from the
+        // pivot agreement test above (no LU mutation since), and doubles
+        // as the pivot row for the dynamic-Devex pass below.
+        const double scale = choice.reduced / pivot;
+        for (std::size_t i = 0; i < m_; ++i) y_[i] += scale * rho_[i];
+        duals_clean_ = false;
 
-          // Forrest–Tomlin may refuse a numerically unacceptable update
-          // (stability guard) — the basis_ array has already changed, so
-          // the only safe continuation is a fresh factorization of the new
-          // basis.
-          const std::size_t updates_before = lu_.update_count();
-          const bool updated = lu_.update(leaving_pos, pivot_tol);
-          ++pivots_since_refactor;
-          RefactorCause cause{};
-          if (refactor_due(updated, pivots_since_refactor, cause)) {
-            note_refactor(cause);
-            ++refactorizations_;
-            if (try_factorize_lu()) {
-              recompute_basic_values();
-              refresh_incremental_state();
-              pivots_since_refactor = 0;
-            } else {
-              // The mutated basis is singular. Under an update file,
-              // drift may have let a numerically dead pivot through the
-              // ratio test (its FTRAN'd magnitude cleared pivot_tol, its
-              // true value did not): roll the basis change back and retry
-              // the iteration on drift-free numbers. A pivot chosen on
-              // fresh factors is itself the culprit (its magnitude clears
-              // pivot_tol but not the LU's singularity threshold): it is
-              // refused until the next committed pivot. When the basis
-              // before the pivot is singular too, the last factorized
-              // basis takes over.
-              note_rollback();
-              if (updates_before == 0) banned_ = entering;
-              basis_[leaving_pos] = leaving;
-              status_[leaving] = VarStatus::Basic;
-              status_[entering] = entering_status_before;
-              x_[entering] = entering_x_before;
-              if (try_factorize_lu()) {
-                recompute_basic_values();
-              } else {
-                restore_good_basis();
-              }
-              refresh_incremental_state();
-              pivots_since_refactor = 0;
-              continue;
-            }
-          } else {
-            const double inv_pivot = 1.0 / pivot;
-            if (rho_pattern_valid_) {
-              // rho_ is zero outside its tracked pattern, so only those
-              // entries can scale to a nonzero pivot-row value.
-              pivot_row_.assign(m_, 0.0);
-              for (const std::uint32_t r : rho_pattern_)
-                pivot_row_[r] = rho_[r] * inv_pivot;
-            } else {
-              pivot_row_.resize(m_);
-              for (std::size_t i = 0; i < m_; ++i)
-                pivot_row_[i] = rho_[i] * inv_pivot;
-            }
-            update_pricing_after_pivot(entering, choice.reduced);
-          }
-        } else {
-          // Product-form update of the dense inverse.
-          double* pivot_row = &binv_[leaving_pos * m_];
-          for (std::size_t i = 0; i < m_; ++i) pivot_row[i] /= pivot;
-          for (std::size_t p = 0; p < m_; ++p) {
-            if (p == leaving_pos || w[p] == 0) continue;
-            double* row = &binv_[p * m_];
-            const double factor = w[p];
-            for (std::size_t i = 0; i < m_; ++i)
-              row[i] -= factor * pivot_row[i];
-          }
-
-          // Incremental dual update from the pivot row: with the updated
-          // inverse, y' = y + d_entering * (Binv')_{leaving_pos}, the O(m)
-          // replacement for re-accumulating c_B^T Binv from scratch.
-          for (std::size_t i = 0; i < m_; ++i)
-            y_[i] += choice.reduced * pivot_row[i];
-          duals_clean_ = false;
-
-          if (++pivots_since_refactor >= effective_refactor_period()) {
-            note_refactor(RefactorCause::Period);
-            refactorize();
+        // Forrest–Tomlin may refuse a numerically unacceptable update
+        // (stability guard) — the basis_ array has already changed, so
+        // the only safe continuation is a fresh factorization of the new
+        // basis.
+        const std::size_t updates_before = lu_.update_count();
+        const bool updated = lu_.update(leaving_pos, pivot_tol);
+        ++pivots_since_refactor;
+        RefactorCause cause{};
+        if (refactor_due(updated, pivots_since_refactor, cause)) {
+          note_refactor(cause);
+          ++refactorizations_;
+          if (try_factorize_lu()) {
+            recompute_basic_values();
             refresh_incremental_state();
             pivots_since_refactor = 0;
           } else {
-            pivot_row_.assign(pivot_row, pivot_row + m_);
-            update_pricing_after_pivot(entering, choice.reduced);
+            // The mutated basis is singular. Under an update file,
+            // drift may have let a numerically dead pivot through the
+            // ratio test (its FTRAN'd magnitude cleared pivot_tol, its
+            // true value did not): roll the basis change back and retry
+            // the iteration on drift-free numbers. A pivot chosen on
+            // fresh factors is itself the culprit (its magnitude clears
+            // pivot_tol but not the LU's singularity threshold): it is
+            // refused until the next committed pivot. When the basis
+            // before the pivot is singular too, the last factorized
+            // basis takes over.
+            note_rollback();
+            if (updates_before == 0) banned_ = entering;
+            basis_[leaving_pos] = leaving;
+            status_[leaving] = VarStatus::Basic;
+            status_[entering] = entering_status_before;
+            x_[entering] = entering_x_before;
+            if (try_factorize_lu()) {
+              recompute_basic_values();
+            } else {
+              restore_good_basis();
+            }
+            refresh_incremental_state();
+            pivots_since_refactor = 0;
+            continue;
           }
+        } else {
+          const double inv_pivot = 1.0 / pivot;
+          if (rho_pattern_valid_) {
+            // rho_ is zero outside its tracked pattern, so only those
+            // entries can scale to a nonzero pivot-row value.
+            pivot_row_.assign(m_, 0.0);
+            for (const std::uint32_t r : rho_pattern_)
+              pivot_row_[r] = rho_[r] * inv_pivot;
+          } else {
+            pivot_row_.resize(m_);
+            for (std::size_t i = 0; i < m_; ++i)
+              pivot_row_[i] = rho_[i] * inv_pivot;
+          }
+          update_pricing_after_pivot(entering, choice.reduced);
         }
       }
 
@@ -1848,8 +1738,7 @@ class Simplex {
   std::vector<double> lower_, upper_, x_, cost_, rhs_;
   std::vector<VarStatus> status_;
   std::vector<std::size_t> basis_;
-  std::vector<double> binv_;         // dense path only
-  BasisLu lu_;                       // Forrest–Tomlin path only
+  BasisLu lu_;                       // sparse LU of the basis
   std::vector<double> rho_;          // BTRAN unit-vector scratch
   std::vector<double> y_;            // incrementally maintained duals
   std::vector<double> d_;            // cached reduced costs

@@ -8,8 +8,8 @@
 // current across pivots by Forrest–Tomlin updates of the U factor in place,
 // so per-iteration cost tracks the *current* basis sparsity rather than the
 // pivot history, and the refactorization period stretches into the
-// thousands. The seed's dense explicit inverse (Basis::DenseInverse) stays
-// selectable as the differential and golden reference.
+// thousands. Tests check its optima against an independent KKT certificate
+// (tests/lp_certify.h).
 //
 // Hot path: reduced costs, duals and the phase objective are maintained
 // incrementally across pivots (refreshed at every refactorization), and
@@ -29,10 +29,9 @@
 // method when a previous solve's basis is nearly optimal for a model with
 // a handful of changed bounds or costs (planner phase 2, per-class
 // re-solves). When the dual path cannot run (no dual-feasible start, a
-// stall, an unusable snapshot, or Basis::DenseInverse), solve_simplex
-// transparently falls back to the cold two-phase primal and counts the
-// event under `simplex.dual.fallbacks`, so the result is correct either
-// way.
+// stall or an unusable snapshot), solve_simplex transparently falls back
+// to the cold two-phase primal and counts the event under
+// `simplex.dual.fallbacks`, so the result is correct either way.
 #pragma once
 
 #include <cstddef>
@@ -49,32 +48,29 @@ struct SimplexOptions {
     /// Dual simplex: dual-feasible start (warm basis or cold slack basis,
     /// repaired by boxed-variable flips), leaving row chosen by primal
     /// infeasibility under dual Devex row weights, entering column by a
-    /// bound-flipping ratio test. Requires an LU basis; falls back to the
-    /// cold primal whenever a dual-feasible start cannot be established.
+    /// bound-flipping ratio test. Falls back to the cold primal whenever a
+    /// dual-feasible start cannot be established.
     Dual,
   };
   Method method = Method::Primal;
 
   /// Optional starting basis from a previous solve of a same-shaped model
   /// (LpSolution::basis). Borrowed for the duration of the solve. Ignored
-  /// when empty, shape-incompatible, or the basis is DenseInverse. A basis
-  /// singular for the new model is repaired, not ignored: each dependent
-  /// column the LU could not pivot is swapped for the logical (slack, else
-  /// artificial) of an unpivoted row, counted as `simplex.warm.repaired`;
-  /// only a repair that still does not factorize is ignored. A primal solve
-  /// additionally requires the imported point to be primal feasible (the
-  /// dual method exists precisely because re-optimization starts usually
-  /// are not).
+  /// when empty or shape-incompatible. A basis singular for the new model
+  /// is repaired, not ignored: each dependent column the LU could not pivot
+  /// is swapped for the logical (slack, else artificial) of an unpivoted
+  /// row, counted as `simplex.warm.repaired`; only a repair that still does
+  /// not factorize is ignored. A primal solve additionally requires the
+  /// imported point to be primal feasible (the dual method exists precisely
+  /// because re-optimization starts usually are not).
   const BasisSnapshot* warm_start = nullptr;
 
   std::size_t max_iterations = 0;  // 0 = automatic (scales with model size)
   double tolerance = 1e-7;
-  /// Refactorize the basis every this many pivots; 0 = automatic (640 for
-  /// the dense inverse, whose row updates cost O(m^2) and accumulate
-  /// roundoff with every pivot; 4096 for Forrest–Tomlin, whose solves track
-  /// current factor sparsity — there the fill guard below usually fires
-  /// first). Incremental updates plus the refresh-before-optimal check keep
-  /// long periods safe.
+  /// Refactorize the basis every this many pivots; 0 = automatic (4096:
+  /// Forrest–Tomlin solves track current factor sparsity, so the fill
+  /// guard below usually fires first). Incremental updates plus the
+  /// refresh-before-optimal check keep long periods safe.
   std::size_t refactor_period = 0;
   /// Switch to Bland's rule after this many non-improving iterations.
   std::size_t stall_limit = 512;
@@ -88,35 +84,22 @@ struct SimplexOptions {
   /// basis and the steepest-edge approximation has degraded).
   double devex_reset_threshold = 1e7;
 
-  enum class Basis {
-    /// Sparse LU with Forrest–Tomlin updates of U in place plus a compact
-    /// R-file of row etas (lp/lu.h): FTRAN/BTRAN cost follows the current
-    /// factor sparsity, not the pivot count.
-    ForrestTomlin,
-    /// Dense explicit inverse with O(m^2) row updates per pivot — the
-    /// seed path, kept as the differential and golden reference. Nothing
-    /// falls back to it.
-    DenseInverse,
-  };
-  Basis basis = Basis::ForrestTomlin;
-  /// ForrestTomlin only: refactorize when the factor + R-file nonzeros
-  /// exceed this multiple of the post-factorization nonzeros (fill-in
-  /// guard; updates add spike and elimination fill that a fresh
-  /// factorization re-compresses).
+  /// Refactorize when the factor + R-file nonzeros exceed this multiple of
+  /// the post-factorization nonzeros (fill-in guard; updates add spike and
+  /// elimination fill that a fresh factorization re-compresses).
   double ft_fill_factor = 3.0;
-  /// ForrestTomlin only: a ratio-test pivot smaller than this while
-  /// updates have been applied is treated as possible numerical drift —
-  /// the basis is refactorized and the iteration retried on fresh numbers
-  /// before the pivot is trusted.
+  /// A ratio-test pivot smaller than this while updates have been applied
+  /// is treated as possible numerical drift — the basis is refactorized and
+  /// the iteration retried on fresh numbers before the pivot is trusted.
   double lu_stability_tolerance = 1e-7;
 
-  /// ForrestTomlin only: RHS-density cutoff for the hyper-sparse
-  /// FTRAN/BTRAN kernels. A solve whose tracked nonzero pattern stays
-  /// below this fraction of the row count runs the graph-driven sparse
-  /// triangular passes; above it, the cache-blocked dense scatter runs
-  /// instead. 0 forces every solve dense, 1 (or more) keeps solves sparse
-  /// whenever the pattern allows. Both paths compute bit-identical
-  /// nonzero values, so this knob trades time only, never answers.
+  /// RHS-density cutoff for the hyper-sparse FTRAN/BTRAN kernels. A solve
+  /// whose tracked nonzero pattern stays below this fraction of the row
+  /// count runs the graph-driven sparse triangular passes; above it, the
+  /// cache-blocked dense scatter runs instead. 0 forces every solve dense,
+  /// 1 (or more) keeps solves sparse whenever the pattern allows. Both
+  /// paths compute bit-identical nonzero values, so this knob trades time
+  /// only, never answers.
   double sparse_density_threshold = 0.1;
 };
 

@@ -38,6 +38,7 @@ enum class FuzzProfile {
   PricingTies,   // duplicated columns + integer costs: massive Devex ties
   NearSingular,  // near-parallel column pairs: FT stability-guard food
   LongPivot,     // bigger dense-ish models: long pivot sequences
+  EdgeShapes,    // fuzz_edge_lp: empty rows, no rows, free/fixed columns
 };
 
 struct FuzzLp {
@@ -429,6 +430,120 @@ inline FuzzLp fuzz_adversarial_lp(std::uint64_t seed) {
     default:
       return detail::fuzz_long_pivot(rng);
   }
+}
+
+/// Deterministically generate one edge-shape LP from `seed`: the shapes
+/// the other generators avoid. A handful of columns (free zero-cost, fixed
+/// or boxed) under zero to three ordinary rows built around a construction
+/// point, plus rows with no entries whose right-hand side 0 satisfies;
+/// about a third of the instances have no rows at all. A seeded fraction
+/// is made infeasible by an empty row whose right-hand side 0 violates, or
+/// unbounded by a costed column, in no row, whose cost points toward an
+/// infinite bound. Draws from its own seed stream, so the classic,
+/// adversarial and warm streams are untouched.
+inline FuzzLp fuzz_edge_lp(std::uint64_t seed) {
+  Rng rng(seed ^ 0xED6E5ULL);
+  FuzzLp out;
+  out.profile = FuzzProfile::EdgeShapes;
+  const std::size_t vars = 1 + rng.uniform_index(6);  // 1..6
+  std::vector<double> x0(vars);
+  for (std::size_t j = 0; j < vars; ++j) {
+    const double roll = rng.uniform();
+    if (roll < 0.25) {
+      out.model.add_variable(-lp::kInfinity, lp::kInfinity, 0);
+      x0[j] = rng.uniform(-1, 1);
+      out.has_free = true;
+    } else if (roll < 0.45) {
+      x0[j] = rng.uniform(-1, 1);
+      out.model.add_variable(x0[j], x0[j], rng.uniform(-1, 1));
+    } else {
+      const double lo = rng.uniform(-1, 0.5);
+      const double up = lo + rng.uniform(0.5, 2);
+      const double cost = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-1, 1);
+      out.model.add_variable(lo, up, cost);
+      x0[j] = rng.uniform(lo, up);
+    }
+  }
+
+  // An empty row reads 0 >= rhs, 0 <= rhs or 0 == rhs.
+  const auto add_empty_row = [&](bool feasible) {
+    const double gap = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.5, 2);
+    switch (rng.uniform_index(3)) {
+      case 0:
+        out.model.add_row(lp::RowType::Ge, feasible ? -gap : gap + 0.5, {},
+                          {});
+        break;
+      case 1:
+        out.model.add_row(lp::RowType::Le, feasible ? gap : -gap - 0.5, {},
+                          {});
+        break;
+      default:
+        out.model.add_row(lp::RowType::Eq, feasible ? 0.0 : gap + 0.5, {},
+                          {});
+        break;
+    }
+  };
+  const bool rowless = rng.bernoulli(0.35);
+  const std::size_t ordinary = rowless ? 0 : rng.uniform_index(4);  // 0..3
+  std::size_t empty = rowless ? 0 : 1 + rng.uniform_index(3);       // 1..3
+  for (std::size_t left = ordinary + empty; left > 0; --left) {
+    if (rng.uniform_index(left) < empty) {  // empty rows interleave
+      --empty;
+      add_empty_row(/*feasible=*/true);
+      continue;
+    }
+    std::vector<std::size_t> cols;
+    std::vector<double> coeffs;
+    for (std::size_t j = 0; j < vars; ++j) {
+      if (!rng.bernoulli(0.7)) continue;
+      cols.push_back(j);
+      coeffs.push_back(rng.uniform(0.5, 2) * (rng.bernoulli(0.5) ? 1 : -1));
+    }
+    if (cols.empty()) {
+      cols.push_back(rng.uniform_index(vars));
+      coeffs.push_back(1);
+    }
+    double activity = 0;
+    for (std::size_t k = 0; k < cols.size(); ++k)
+      activity += coeffs[k] * x0[cols[k]];
+    const double slack = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0, 1);
+    switch (rng.uniform_index(3)) {
+      case 0:
+        out.model.add_row(lp::RowType::Ge, activity - slack, cols, coeffs);
+        break;
+      case 1:
+        out.model.add_row(lp::RowType::Le, activity + slack, cols, coeffs);
+        break;
+      default:
+        out.model.add_row(lp::RowType::Eq, activity, cols, coeffs);
+        break;
+    }
+  }
+
+  const double roll = rng.uniform();
+  if (roll < 0.15) {
+    out.kind = FuzzKind::Infeasible;
+    add_empty_row(/*feasible=*/false);
+  } else if (roll < 0.3) {
+    out.kind = FuzzKind::Unbounded;
+    const double pull = rng.uniform(0.5, 2);
+    switch (rng.uniform_index(3)) {
+      case 0:
+        out.model.add_variable(0, lp::kInfinity, -pull);
+        break;
+      case 1:
+        out.model.add_variable(-lp::kInfinity, 0, pull);
+        break;
+      default:
+        out.model.add_variable(-lp::kInfinity, lp::kInfinity,
+                               rng.bernoulli(0.5) ? pull : -pull);
+        out.has_free = true;
+        break;
+    }
+  }
+  out.vars = out.model.variable_count();
+  out.rows = out.model.row_count();
+  return out;
 }
 
 }  // namespace wanplace::test

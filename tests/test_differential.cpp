@@ -1,24 +1,28 @@
 // Randomized differential LP harness.
 //
-// Three independently implemented solve paths — simplex over the
-// Forrest-Tomlin basis (the default), simplex over the dense explicit
-// inverse (the seed basis algebra), and PDHG — are run over a seeded stream
-// of random LPs (tests/lp_fuzz.h) and over real MC-PERF relaxations, and
-// must agree on status and objective to 1e-7. The two simplex paths share
-// no basis algebra, so any FT elimination / R-file / sparse-kernel defect
-// shows up as a status or objective split here long before it corrupts a
-// paper experiment.
+// Three independent checks run over a seeded stream of random LPs
+// (tests/lp_fuzz.h) and over real MC-PERF relaxations: the simplex, an
+// optimality certificate (tests/lp_certify.h) and PDHG. Every simplex
+// optimum must pass the KKT certificate, which reads only the model and the
+// solution's (x, y) and shares no code with any solver, so a pricing,
+// ratio-test, FT elimination, R-file or sparse-kernel defect that lands on
+// a wrong vertex fails here long before it corrupts a paper experiment.
+// Statuses are cross-checked between the primal and a cold dual simplex
+// solve (a different pricing rule and ratio test) and against what the
+// generator guarantees; PDHG's certified dual bound must never overstate
+// the simplex optimum.
 //
-// The stream is three-tiered: classic shards (randomized shape/bounds/row
+// The stream is four-tiered: classic shards (randomized shape/bounds/row
 // mix), adversarial shards (pricing ties, near-singular column pairs, long
-// pivot sequences — see fuzz_adversarial_lp), and a stress shard that
-// replays instances with a tiny refactor period and fill factor so pivot
-// sequences run well past 2x the refactor period on every path.
+// pivot sequences — see fuzz_adversarial_lp), a stress shard that replays
+// instances with a tiny refactor period and fill factor so pivot sequences
+// run well past 2x the refactor period, and an edge-shape shard (empty
+// rows, no rows, free and fixed columns — see fuzz_edge_lp).
 //
 // Re-run a failing case locally with WANPLACE_FUZZ_SEED=<base> (the base
 // seed is printed in every failure message; per-case seeds are base+offset).
-// WANPLACE_FUZZ_COUNT scales every shard (nightly runs use 150 -> 1350+
-// instances; the default 60 keeps the default suite over 500).
+// WANPLACE_FUZZ_COUNT scales every shard (nightly runs use 150 -> 1650+
+// instances; the default 60 keeps the default suite over 600).
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,7 @@
 #include "lp/model.h"
 #include "lp/pdhg.h"
 #include "lp/simplex.h"
+#include "lp_certify.h"
 #include "lp_fuzz.h"
 #include "mcperf/builder.h"
 #include "mcperf/heuristic_class.h"
@@ -38,79 +43,75 @@
 namespace wanplace::lp {
 namespace {
 
-SimplexOptions ft_options() {
+SimplexOptions dual_options() {
   SimplexOptions options;
-  options.basis = SimplexOptions::Basis::ForrestTomlin;
-  return options;
-}
-
-SimplexOptions dense_options() {
-  SimplexOptions options;
-  options.basis = SimplexOptions::Basis::DenseInverse;
+  options.method = SimplexOptions::Method::Dual;
   return options;
 }
 
 /// Stress variant: force the update machinery to be the long pole. Every
 /// pivot sequence longer than ~8 iterations runs past 2x the refactor
-/// period, and the FT path trips its fill guard almost immediately.
+/// period, and the FT update trips its fill guard almost immediately.
 SimplexOptions stressed(SimplexOptions options) {
   options.refactor_period = 4;
   options.ft_fill_factor = 1.05;
   return options;
 }
 
-/// Run one generated instance through all simplex paths (plus PDHG on
-/// optimal instances) and cross-check. `tweak` lets the stress shard
-/// tighten the basis-management knobs on every path at once.
-void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
-                    SimplexOptions (*tweak)(SimplexOptions) = nullptr) {
-  auto ft_opts = ft_options();
-  auto dense_opts = dense_options();
-  if (tweak) {
-    ft_opts = tweak(ft_opts);
-    dense_opts = tweak(dense_opts);
-  }
-
-  const auto ft = solve_simplex(fuzz.model, ft_opts);
-  const auto dense = solve_simplex(fuzz.model, dense_opts);
-
-  // Both basis representations must agree on status, always.
-  ASSERT_EQ(ft.status, dense.status) << tag;
-
+/// The generator's guarantee against a solve's status. Returns true when
+/// the instance has an optimum to compare objectives on.
+bool status_matches_kind(const test::FuzzLp& fuzz, SolveStatus status,
+                         const std::string& tag) {
   switch (fuzz.kind) {
     case test::FuzzKind::Infeasible:
-      ASSERT_EQ(ft.status, SolveStatus::Infeasible) << tag;
-      return;  // PDHG's infeasibility detection is heuristic; skip it.
+      EXPECT_EQ(status, SolveStatus::Infeasible) << tag;
+      return false;
     case test::FuzzKind::Unbounded:
-      ASSERT_EQ(ft.status, SolveStatus::Unbounded) << tag;
-      return;
+      EXPECT_EQ(status, SolveStatus::Unbounded) << tag;
+      return false;
     case test::FuzzKind::Feasible:
       // Feasible by construction: never Infeasible. Free variables with
       // constrained rows can still make the instance legitimately
-      // unbounded — all paths must agree on that (checked above).
-      ASSERT_NE(ft.status, SolveStatus::Infeasible) << tag;
+      // unbounded — the primal and dual must agree on that.
+      EXPECT_NE(status, SolveStatus::Infeasible) << tag;
       break;
   }
-  if (ft.status != SolveStatus::Optimal) return;
+  return status == SolveStatus::Optimal;
+}
 
-  const double scale = 1 + std::abs(dense.objective);
-  EXPECT_NEAR(ft.objective, dense.objective, 1e-7 * scale) << tag;
-  // Certificates may differ in tightness between the paths (clamping a
-  // free-variable dual can push any of them to -inf), but each must be a
-  // valid lower bound on the common optimum.
-  EXPECT_LE(ft.dual_bound, dense.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(dense.dual_bound, dense.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(fuzz.model.max_violation(ft.x), 1e-6) << tag;
-  EXPECT_LE(fuzz.model.max_violation(dense.x), 1e-6) << tag;
+/// Run one generated instance through the primal and the cold dual simplex
+/// (plus PDHG on optimal instances) and cross-check. `tweak` lets the
+/// stress shard tighten the basis-management knobs on both methods.
+void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
+                    SimplexOptions (*tweak)(SimplexOptions) = nullptr) {
+  SimplexOptions primal_opts;
+  auto dual_opts = dual_options();
+  if (tweak) {
+    primal_opts = tweak(primal_opts);
+    dual_opts = tweak(dual_opts);
+  }
 
-  // PDHG: its certificate must never overstate the simplex optimum; when
+  const auto primal = solve_simplex(fuzz.model, primal_opts);
+  const auto dual = solve_simplex(fuzz.model, dual_opts);
+
+  // Different pricing rules and ratio tests, same status, always.
+  ASSERT_EQ(primal.status, dual.status) << tag;
+  // PDHG's infeasibility detection is heuristic; it runs on optima only.
+  if (!status_matches_kind(fuzz, primal.status, tag)) return;
+
+  EXPECT_TRUE(test::certify_optimal(fuzz.model, primal)) << tag;
+  EXPECT_TRUE(test::certify_optimal(fuzz.model, dual)) << tag;
+  const double scale = 1 + std::abs(primal.objective);
+  EXPECT_LE(primal.dual_bound, primal.objective + 1e-7 * scale) << tag;
+
+  // PDHG: its certificate must never overstate the certified optimum; when
   // it reports convergence its objective must land within first-order
-  // tolerance of the exact optimum.
+  // tolerance of it.
   PdhgOptions pdhg;
   pdhg.max_iterations = 60000;
   pdhg.tolerance = 1e-6;
   const auto approx = solve_pdhg(fuzz.model, pdhg);
-  EXPECT_LE(approx.dual_bound, dense.objective + 1e-6 * scale) << tag;
+  EXPECT_LE(approx.dual_bound, primal.objective + 1e-6 * scale) << tag;
   // PDHG can stall at a suboptimal stationary point when the model has
   // doubly-unbounded variables (its certificate degrades to -inf there, so
   // the bound stays valid — MC-PERF relaxations never produce free
@@ -118,15 +119,16 @@ void check_instance(const test::FuzzLp& fuzz, const std::string& tag,
   // on the exact optimum to first-order accuracy.
   if (!fuzz.has_free && approx.status == SolveStatus::Optimal &&
       fuzz.model.max_violation(approx.x) <= 1e-5) {
-    EXPECT_NEAR(approx.objective, dense.objective, 1e-2 * scale) << tag;
+    EXPECT_NEAR(approx.objective, primal.objective, 1e-2 * scale) << tag;
   }
 }
 
 std::string case_tag(const char* family, std::uint64_t base,
                      std::uint64_t offset, const test::FuzzLp& fuzz) {
   return std::string(family) + " base " + std::to_string(base) + " offset " +
-         std::to_string(offset) + " (" + std::to_string(fuzz.vars) + "v x " +
-         std::to_string(fuzz.rows) + "r)";
+         std::to_string(offset) + " (" +
+         std::to_string(fuzz.model.variable_count()) + "v x " +
+         std::to_string(fuzz.model.row_count()) + "r)";
 }
 
 void check_classic(std::uint64_t base, std::uint64_t offset) {
@@ -193,28 +195,31 @@ TEST(FuzzAdversarial, TargetedLpsShard3) {
 // Warm-start re-optimization shards: solve a base instance cold, perturb a
 // seeded subset of its bounds and costs (tests/lp_fuzz.h
 // fuzz_warm_perturbed — the planner-phase-2 / per-class-re-solve shape),
-// then re-solve the perturbed model three ways: dual simplex warm-started
-// from the base basis, cold primal, and cold PDHG. The warm dual result
-// must match the cold primal to 1e-7 in status and objective (the warm
-// path must never change what the solver reports, only how fast it gets
-// there), and the PDHG certificate must stay a valid lower bound on the
-// exact optimum to the same 1e-7.
+// then re-solve the perturbed model four ways: dual simplex warm-started
+// from the base basis, cold primal, cold dual and cold PDHG. The cold
+// methods must agree on status, and the warm dual result must match the
+// cold primal to 1e-7 in status and objective (the warm path must never
+// change what the solver reports, only how fast it gets there); both
+// optima must pass the KKT certificate, and the PDHG certificate must stay
+// a valid lower bound on the exact optimum to the same 1e-7.
 void check_warm_against_cold(const LpModel& perturbed,
                              const LpSolution& seed_sol,
                              const std::string& tag) {
-  const auto cold = solve_simplex(perturbed, ft_options());
+  const auto cold = solve_simplex(perturbed);
+  const auto cold_dual = solve_simplex(perturbed, dual_options());
 
-  auto dual_opts = ft_options();
-  dual_opts.method = SimplexOptions::Method::Dual;
+  auto dual_opts = dual_options();
   if (!seed_sol.basis.empty()) dual_opts.warm_start = &seed_sol.basis;
   const auto warm = solve_simplex(perturbed, dual_opts);
 
+  ASSERT_EQ(cold_dual.status, cold.status) << tag;
   ASSERT_EQ(warm.status, cold.status) << tag;
   if (cold.status != SolveStatus::Optimal) return;
+  EXPECT_TRUE(test::certify_optimal(perturbed, cold)) << tag;
+  EXPECT_TRUE(test::certify_optimal(perturbed, warm)) << tag;
   const double scale = 1 + std::abs(cold.objective);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7 * scale) << tag;
   EXPECT_LE(warm.dual_bound, cold.objective + 1e-7 * scale) << tag;
-  EXPECT_LE(perturbed.max_violation(warm.x), 1e-6) << tag;
 
   PdhgOptions pdhg;
   pdhg.max_iterations = 60000;
@@ -225,7 +230,7 @@ void check_warm_against_cold(const LpModel& perturbed,
 
 void check_warm_pair(std::uint64_t base, std::uint64_t offset) {
   const auto fuzz = test::fuzz_lp(base + offset);
-  const auto seed_sol = solve_simplex(fuzz.model, ft_options());
+  const auto seed_sol = solve_simplex(fuzz.model);
   check_warm_against_cold(
       test::fuzz_warm_perturbed(fuzz, base + offset).model, seed_sol,
       case_tag("warm", base, offset, fuzz));
@@ -268,7 +273,7 @@ TEST(FuzzWarm, RewrittenRowPairs) {
   obs::Registry::global().reset();
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto fuzz = test::fuzz_lp(base + i);
-    const auto seed_sol = solve_simplex(fuzz.model, ft_options());
+    const auto seed_sol = solve_simplex(fuzz.model);
     const std::vector<double> point =
         seed_sol.status == SolveStatus::Optimal ? seed_sol.x
                                                 : std::vector<double>{};
@@ -285,7 +290,7 @@ TEST(FuzzWarm, RewrittenRowPairs) {
 }
 
 // Stress shard: replay a seeded mix of classic and adversarial instances
-// with refactor_period=4 / ft_fill_factor=1.05 on every path. The
+// with refactor_period=4 / ft_fill_factor=1.05 on both methods. The
 // long-pivot profiles routinely take 30+ pivots here, i.e. far past 2x the
 // refactor period, so FT spike elimination, R-file replay, the fill guard
 // and the fallback-to-refactorize path all fire constantly.
@@ -306,6 +311,32 @@ TEST(FuzzStress, TinyRefactorPeriodAcrossBases) {
   }
 }
 
+// Edge-shape shard: LPs built from the shapes the other generators avoid —
+// rows with no entries (feasible and infeasible right-hand sides), LPs
+// with no rows at all, free zero-cost columns and fixed columns
+// (tests/lp_fuzz.h fuzz_edge_lp). Each instance runs through the primal,
+// the cold dual and PDHG; every status must match the generator's
+// guarantee and every simplex optimum must pass the certificate. With no
+// rows PDHG solves in closed form, so its status must match and its
+// optimum is certified too.
+void check_edge(std::uint64_t base, std::uint64_t offset) {
+  const auto fuzz = test::fuzz_edge_lp(base + offset);
+  const std::string tag = case_tag("edge", base, offset, fuzz);
+  check_instance(fuzz, tag);
+  if (fuzz.model.row_count() > 0) return;
+  const auto closed_form = solve_pdhg(fuzz.model);
+  status_matches_kind(fuzz, closed_form.status, tag);
+  if (closed_form.status == SolveStatus::Optimal) {
+    EXPECT_TRUE(test::certify_optimal(fuzz.model, closed_form)) << tag;
+  }
+}
+
+TEST(FuzzEdge, EdgeShapes) {
+  const std::uint64_t base = test::fuzz_base_seed();
+  const std::uint64_t n = test::fuzz_shard_count();
+  for (std::uint64_t i = 0; i < 2 * n; ++i) check_edge(base, i);
+}
+
 // ---------------------------------------------------------------------------
 // Real MC-PERF relaxations: the LP family the paper actually solves. These
 // are larger and tree-structured — exactly the shape the sparse bases
@@ -315,25 +346,25 @@ void check_mcperf(const mcperf::Instance& instance,
                   const mcperf::ClassSpec& spec, const std::string& tag) {
   const auto built = mcperf::build_lp(instance, spec);
 
-  const auto ft = solve_simplex(built.model, ft_options());
-  const auto dense = solve_simplex(built.model, dense_options());
-  ASSERT_EQ(ft.status, dense.status) << tag;
+  const auto primal = solve_simplex(built.model);
+  const auto dual = solve_simplex(built.model, dual_options());
+  ASSERT_EQ(primal.status, dual.status) << tag;
   // Some class/instance pairs are legitimately infeasible (e.g. reactive
-  // creation against cold-start demand); all paths agreeing on that via
-  // phase 1 is still a differential check.
-  if (ft.status != SolveStatus::Optimal) return;
+  // creation against cold-start demand); both methods agreeing on that is
+  // still a differential check.
+  if (primal.status != SolveStatus::Optimal) return;
 
-  const double scale = 1 + std::abs(dense.objective);
-  EXPECT_NEAR(ft.objective, dense.objective, 1e-7 * scale) << tag;
-  EXPECT_LE(built.model.max_violation(ft.x), 1e-6) << tag;
+  EXPECT_TRUE(test::certify_optimal(built.model, primal)) << tag;
+  EXPECT_TRUE(test::certify_optimal(built.model, dual)) << tag;
 
+  const double scale = 1 + std::abs(primal.objective);
   PdhgOptions pdhg;
   pdhg.max_iterations = 150000;
   pdhg.tolerance = 1e-6;
   const auto approx = solve_pdhg(built.model, pdhg);
-  EXPECT_LE(approx.dual_bound, dense.objective + 1e-6 * scale) << tag;
+  EXPECT_LE(approx.dual_bound, primal.objective + 1e-6 * scale) << tag;
   if (approx.status == SolveStatus::Optimal) {
-    EXPECT_NEAR(approx.objective, dense.objective, 5e-3 * scale) << tag;
+    EXPECT_NEAR(approx.objective, primal.objective, 5e-3 * scale) << tag;
   }
 }
 
@@ -354,28 +385,41 @@ TEST(McPerfDifferential, RandomInstanceAcrossClasses) {
                "waxman/storage_constrained");
 }
 
-// The engine's Auto solver must produce the same certified bound whichever
-// basis the simplex uses underneath.
+// The engine's bound is the certified simplex optimum of the LP it built,
+// whichever basis the simplex starts from: cold, or warm-started by the
+// dual method from the optimal basis of the same-shaped LP of a
+// demand-scaled twin instance.
 TEST(McPerfDifferential, EngineBoundInvariantToBasis) {
   const auto instance = test::random_instance(7);
-  const SimplexOptions::Basis bases[] = {SimplexOptions::Basis::ForrestTomlin,
-                                         SimplexOptions::Basis::DenseInverse};
-  bounds::BoundOptions reference_opts;
-  reference_opts.solver = bounds::BoundOptions::Solver::Simplex;
-  reference_opts.simplex.basis = SimplexOptions::Basis::DenseInverse;
-  const auto reference = bounds::compute_bound(
-      instance, mcperf::classes::general(), reference_opts);
-  for (const auto basis : bases) {
-    bounds::BoundOptions options;
-    options.solver = bounds::BoundOptions::Solver::Simplex;
-    options.simplex.basis = basis;
-    const auto bound =
-        bounds::compute_bound(instance, mcperf::classes::general(), options);
-    ASSERT_EQ(bound.status, reference.status) << static_cast<int>(basis);
-    EXPECT_NEAR(bound.lower_bound, reference.lower_bound,
-                1e-7 * (1 + std::abs(reference.lower_bound)))
-        << static_cast<int>(basis);
+  auto twin = instance;
+  for (std::size_t n = 0; n < twin.node_count(); ++n)
+    for (std::size_t i = 0; i < twin.interval_count(); ++i)
+      for (std::size_t k = 0; k < twin.object_count(); ++k)
+        twin.demand.read(n, i, k) *= 1 + 0.1 * static_cast<double>(n % 3);
+
+  bounds::BoundOptions options;
+  options.solver = bounds::BoundOptions::Solver::Simplex;
+  const auto twin_detail = bounds::compute_bound_detail(
+      twin, mcperf::classes::general(), options);
+  const auto cold = bounds::compute_bound_detail(
+      instance, mcperf::classes::general(), options);
+  options.warm.basis = &twin_detail.solution.basis;
+  const auto warm = bounds::compute_bound_detail(
+      instance, mcperf::classes::general(), options);
+  ASSERT_TRUE(twin_detail.solution.basis.compatible(
+      cold.built.model.variable_count(), cold.built.model.row_count()));
+
+  for (const auto* detail : {&cold, &warm}) {
+    const char* tag = detail == &cold ? "cold" : "warm";
+    ASSERT_EQ(detail->bound.status, SolveStatus::Optimal) << tag;
+    EXPECT_TRUE(test::certify_optimal(detail->built.model, detail->solution))
+        << tag;
+    EXPECT_NEAR(detail->bound.lower_bound, detail->solution.objective,
+                1e-7 * (1 + std::abs(detail->solution.objective)))
+        << tag;
   }
+  EXPECT_NEAR(warm.bound.lower_bound, cold.bound.lower_bound,
+              1e-7 * (1 + std::abs(cold.bound.lower_bound)));
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 // A small fixed MC-PERF fixture (4-node line, 3 intervals, 3 objects) is
 // solved for a representative slice of heuristic classes and the certified
 // lower bounds are compared against frozen values:
-//   - with Basis::DenseInverse the entire pipeline is deterministic
-//     integer and double arithmetic with a fixed operation order, so the
-//     bound must reproduce BIT FOR BIT — any change is a semantic change to
-//     the numerics and must be deliberate;
-//   - with the default ForrestTomlin basis the basis algebra differs, so
-//     the bound must agree to 1e-7 relative — that path is "same answer,
-//     different arithmetic";
+//   - the simplex pipeline is deterministic integer and double arithmetic
+//     with a fixed operation order, so the bound must reproduce BIT FOR BIT
+//     — any change is a semantic change to the numerics and must be
+//     deliberate;
+//   - every pinned simplex optimum must also pass the independent KKT
+//     certificate (tests/lp_certify.h), so a re-freeze cannot pin a wrong
+//     vertex;
+//   - under stressed Forrest–Tomlin settings (refactorize every pivot,
+//     tight fill guard, dense kernels) the bound must stay within 1e-7 of
+//     the pinned one;
 //   - the dynamic-Devex iteration counts themselves are pinned (kDevex
 //     below, plus Beale): pricing is deterministic, so a changed count
 //     means the pricing rule changed and the fixture must be deliberately
@@ -27,6 +30,7 @@
 
 #include "bounds/engine.h"
 #include "instance_helpers.h"
+#include "lp_certify.h"
 #include "mcperf/heuristic_class.h"
 #include "tree/tree_dp.h"
 
@@ -55,20 +59,20 @@ mcperf::Instance golden_instance() {
 
 struct GoldenCase {
   const char* name;            // preset name in mcperf::classes
-  double lower_bound;          // frozen DenseInverse bound
+  double lower_bound;          // frozen simplex bound
   double max_achievable_qos;   // frozen achievability value
 };
 
-// Frozen values for golden_instance(), DenseInverse basis,
-// Solver::Simplex. Printed with %.17g so they round-trip exactly.
+// Frozen values for golden_instance(), Solver::Simplex. Printed with %.17g
+// so they round-trip exactly.
 constexpr GoldenCase kGolden[] = {
     {"general", 9.6809090909090898, 1},
-    {"storage_constrained", 11.727142857142857, 1},
-    {"replica_constrained", 10.349999999999996, 1},
+    {"storage_constrained", 11.727142857142855, 1},
+    {"replica_constrained", 10.349999999999998, 1},
     {"replica_constrained_per_object", 9.6809090909090898, 1},
     {"caching", 36.824999999999989, 0.63636363636363635},
-    {"cooperative_caching", 18.999999999999993, 0.63636363636363635},
-    {"neighborhood_caching", 18.999999999999993, 0.63636363636363635},
+    {"cooperative_caching", 19, 0.63636363636363635},
+    {"neighborhood_caching", 19, 0.63636363636363635},
     {"reactive", 12.5, 0.63636363636363635},
 };
 
@@ -87,54 +91,81 @@ mcperf::ClassSpec spec_by_name(const std::string& name) {
   return general();
 }
 
-bounds::BoundOptions golden_options(lp::SimplexOptions::Basis basis) {
+bounds::BoundOptions golden_options() {
   bounds::BoundOptions options;
   options.solver = bounds::BoundOptions::Solver::Simplex;
-  options.simplex.basis = basis;
   return options;
 }
 
-bounds::BoundOptions devex_options() {
-  return golden_options(lp::SimplexOptions::Basis::ForrestTomlin);
-}
-
-TEST(Golden, DenseInverseBoundsBitForBit) {
+TEST(Golden, BoundsBitForBit) {
   const auto instance = golden_instance();
   const bool print = std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr;
   for (const auto& g : kGolden) {
-    const auto bound = bounds::compute_bound(
-        instance, spec_by_name(g.name),
-        golden_options(lp::SimplexOptions::Basis::DenseInverse));
+    const auto detail = bounds::compute_bound_detail(
+        instance, spec_by_name(g.name), golden_options());
+    const auto& bound = detail.bound;
     if (print) {
       std::printf("    {\"%s\", %.17g, %.17g},\n", g.name, bound.lower_bound,
                   bound.max_achievable_qos);
       continue;
     }
     ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
+    EXPECT_TRUE(test::certify_optimal(detail.built.model, detail.solution))
+        << g.name;
     // Exact comparison on purpose: see the file comment.
     EXPECT_EQ(bound.lower_bound, g.lower_bound) << g.name;
     EXPECT_EQ(bound.max_achievable_qos, g.max_achievable_qos) << g.name;
   }
 }
 
+// The Forrest–Tomlin update machinery under stress: refactorizing every
+// pivot (no update ever applied), a tight refactor period with a fill guard
+// that trips almost at once, and every FTRAN/BTRAN forced dense. Each takes
+// a different pivot and rounding path through the same dynamic-Devex
+// pricing, so the bounds may move in their last bits, but each optimum
+// must be certified and land within 1e-7 of the pinned table.
 TEST(Golden, ForrestTomlinDynamicDevexBoundsMatchTo1e7) {
   const auto instance = golden_instance();
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) GTEST_SKIP();
-  for (const auto& g : kGolden) {
-    const auto bound =
-        bounds::compute_bound(instance, spec_by_name(g.name), devex_options());
-    ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
-    EXPECT_NEAR(bound.lower_bound, g.lower_bound,
-                1e-7 * (1 + std::abs(g.lower_bound)))
-        << g.name;
-    EXPECT_EQ(bound.max_achievable_qos, g.max_achievable_qos) << g.name;
+  struct Variant {
+    const char* name;
+    std::size_t refactor_period;
+    double ft_fill_factor;
+    double sparse_density_threshold;
+  };
+  const lp::SimplexOptions defaults;
+  const Variant variants[] = {
+      {"refactor_every_pivot", 1, defaults.ft_fill_factor,
+       defaults.sparse_density_threshold},
+      {"stressed_updates", 4, 1.05, defaults.sparse_density_threshold},
+      {"dense_kernels", 0, defaults.ft_fill_factor, 0},
+  };
+  for (const auto& v : variants) {
+    auto options = golden_options();
+    options.simplex.refactor_period = v.refactor_period;
+    options.simplex.ft_fill_factor = v.ft_fill_factor;
+    options.simplex.sparse_density_threshold = v.sparse_density_threshold;
+    for (const auto& g : kGolden) {
+      const auto detail = bounds::compute_bound_detail(
+          instance, spec_by_name(g.name), options);
+      const auto& bound = detail.bound;
+      ASSERT_EQ(bound.status, lp::SolveStatus::Optimal)
+          << v.name << " " << g.name;
+      EXPECT_TRUE(test::certify_optimal(detail.built.model, detail.solution))
+          << v.name << " " << g.name;
+      EXPECT_NEAR(bound.lower_bound, g.lower_bound,
+                  1e-7 * (1 + std::abs(g.lower_bound)))
+          << v.name << " " << g.name;
+      EXPECT_EQ(bound.max_achievable_qos, g.max_achievable_qos)
+          << v.name << " " << g.name;
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Dynamic-Devex behavioral fixtures: the pricing rule is deterministic, so
-// the phase-1+phase-2 iteration count under ForrestTomlin is
-// a frozen property of the implementation. A drifting count means the
+// the phase-1+phase-2 iteration count is a frozen property of the
+// implementation. A drifting count means the
 // pricing (or basis-management) semantics changed — deliberate changes
 // regenerate the table via WANPLACE_PRINT_GOLDEN=1.
 
@@ -158,7 +189,7 @@ TEST(Golden, DynamicDevexIterationCountsPinned) {
   const bool print = std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr;
   for (const auto& g : kDevex) {
     const auto bound =
-        bounds::compute_bound(instance, spec_by_name(g.name), devex_options());
+        bounds::compute_bound(instance, spec_by_name(g.name), golden_options());
     if (print) {
       std::printf("    {\"%s\", %zu, %.17g},\n", g.name,
                   bound.solver_iterations, bound.lower_bound);
@@ -185,9 +216,7 @@ TEST(Golden, DynamicDevexBealePinned) {
   model.add_row(lp::RowType::Le, 0, {x1, x2, x3, x4}, {0.5, -90, -0.02, 3});
   model.add_row(lp::RowType::Le, 1, {x3}, {1});
 
-  lp::SimplexOptions options;
-  options.basis = lp::SimplexOptions::Basis::ForrestTomlin;
-  const auto sol = lp::solve_simplex(model, options);
+  const auto sol = lp::solve_simplex(model);
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) {
     std::printf("    beale: iterations=%zu objective=%.17g\n", sol.iterations,
                 sol.objective);
@@ -224,7 +253,7 @@ constexpr DualCase kDual[] = {
 };
 
 bounds::BoundOptions dual_golden_options() {
-  auto options = devex_options();
+  auto options = golden_options();
   options.simplex.method = lp::SimplexOptions::Method::Dual;
   return options;
 }
@@ -263,7 +292,6 @@ TEST(Golden, DualSimplexBealePinned) {
   model.add_row(lp::RowType::Le, 1, {x3}, {1});
 
   lp::SimplexOptions options;
-  options.basis = lp::SimplexOptions::Basis::ForrestTomlin;
   options.method = lp::SimplexOptions::Method::Dual;
   const auto sol = lp::solve_simplex(model, options);
   if (std::getenv("WANPLACE_PRINT_GOLDEN") != nullptr) {
@@ -328,8 +356,7 @@ TEST(Golden, PdhgDualBoundsBitForBit) {
 // ---------------------------------------------------------------------------
 // Tree-family fixtures: six fixed tree instances pinning the exact DP
 // optimum (deterministic integer/double arithmetic — bit-for-bit), the
-// DenseInverse LP lower bound (bit-for-bit) and the default simplex
-// iteration count. The capped-closest fixture additionally certifies the
+// certified simplex LP lower bound (bit-for-bit) and its iteration count. The capped-closest fixture additionally certifies the
 // acceptance property that binding bandwidth rows make the true optimum
 // STRICTLY tighter than the unconstrained bound. Regenerate deliberately
 // with WANPLACE_PRINT_GOLDEN=1 as for kGolden.
@@ -427,15 +454,15 @@ GoldenTreeFixture golden_tree(std::size_t index) {
 struct GoldenTreeCase {
   const char* name;        // fixture label (index order in golden_tree)
   double dp_optimum;       // frozen exact DP optimum (bit-for-bit)
-  double lower_bound;      // frozen DenseInverse LP bound (bit-for-bit)
-  std::size_t iterations;  // frozen default simplex iteration count
+  double lower_bound;      // frozen simplex LP bound (bit-for-bit)
+  std::size_t iterations;  // frozen simplex iteration count
 };
 
 constexpr GoldenTreeCase kGoldenTree[] = {
     {"star-global", 19.5, 19.5, 28},
     {"binary-global", 13.75, 12.375, 36},
     {"path-closest", 3.25, 3.25, 16},
-    {"binary-closest-capped", 6.75, 2.1214285714285697, 47},
+    {"binary-closest-capped", 6.75, 2.1214285714285719, 47},
     {"ternary-neighborhood", 19.875, 19.875, 120},
     {"star-reactive", 0, 0, 9},
 };
@@ -446,30 +473,30 @@ TEST(GoldenTree, DpOptimaBoundsAndIterationsPinned) {
     const auto& g = kGoldenTree[index];
     const auto fx = golden_tree(index);
     const auto dp = tree::solve_tree_dp(fx.instance, fx.spec);
-    const auto dense = bounds::compute_bound(
-        fx.instance, fx.spec,
-        golden_options(lp::SimplexOptions::Basis::DenseInverse));
-    const auto devex =
-        bounds::compute_bound(fx.instance, fx.spec, devex_options());
+    const auto detail =
+        bounds::compute_bound_detail(fx.instance, fx.spec, golden_options());
+    const auto& bound = detail.bound;
     if (print) {
       std::printf("    {\"%s\", %.17g, %.17g, %zu},\n", g.name, dp.optimum,
-                  dense.lower_bound, devex.solver_iterations);
+                  bound.lower_bound, bound.solver_iterations);
       continue;
     }
     ASSERT_TRUE(dp.feasible) << g.name;
-    ASSERT_EQ(dense.status, lp::SolveStatus::Optimal) << g.name;
+    ASSERT_EQ(bound.status, lp::SolveStatus::Optimal) << g.name;
+    EXPECT_TRUE(test::certify_optimal(detail.built.model, detail.solution))
+        << g.name;
     // Exact comparisons on purpose: see the file comment.
     EXPECT_EQ(dp.optimum, g.dp_optimum) << g.name;
-    EXPECT_EQ(dense.lower_bound, g.lower_bound) << g.name;
-    EXPECT_EQ(devex.solver_iterations, g.iterations) << g.name;
+    EXPECT_EQ(bound.lower_bound, g.lower_bound) << g.name;
+    EXPECT_EQ(bound.solver_iterations, g.iterations) << g.name;
     // The sandwich the differential suite asserts statistically, pinned
     // here on fixed instances.
-    EXPECT_LE(dense.lower_bound,
+    EXPECT_LE(bound.lower_bound,
               dp.optimum + 1e-7 * (1 + std::abs(dp.optimum)))
         << g.name;
-    if (dense.rounded_feasible) {
+    if (bound.rounded_feasible) {
       EXPECT_LE(dp.optimum,
-                dense.rounded_cost + 1e-7 * (1 + std::abs(dp.optimum)))
+                bound.rounded_cost + 1e-7 * (1 + std::abs(dp.optimum)))
           << g.name;
     }
   }
@@ -485,9 +512,8 @@ TEST(GoldenTree, CappedClosestStrictlyTighterThanUncapped) {
   uncapped.links->up_capacity.assign(uncapped.node_count(),
                                      graph::kUnlimitedBandwidth);
   const auto capped_dp = tree::solve_tree_dp(fx.instance, fx.spec);
-  const auto free_bound = bounds::compute_bound(
-      uncapped, fx.spec,
-      golden_options(lp::SimplexOptions::Basis::DenseInverse));
+  const auto free_bound =
+      bounds::compute_bound(uncapped, fx.spec, golden_options());
   ASSERT_TRUE(capped_dp.feasible);
   ASSERT_EQ(free_bound.status, lp::SolveStatus::Optimal);
   EXPECT_GT(capped_dp.optimum, free_bound.lower_bound + 0.5);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "lp/lu.h"
@@ -13,6 +14,8 @@
 #include "lp/scaling.h"
 #include "lp/simplex.h"
 #include "lp/sparse.h"
+#include "lp_certify.h"
+#include "lp_fuzz.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -724,27 +727,53 @@ TEST(SolverInput, RepeatedAndCancellingColumnsSolveLikeTheirMergedTwin) {
   const LpModel repeated = repeated_columns_lp(false);
   const LpModel merged = repeated_columns_lp(true);
 
-  SimplexOptions dense;
-  dense.basis = SimplexOptions::Basis::DenseInverse;
-  for (const SimplexOptions& options : {SimplexOptions{}, dense}) {
-    const auto a = solve_simplex(repeated, options);
-    const auto b = solve_simplex(merged, options);
-    ASSERT_EQ(a.status, SolveStatus::Optimal);
-    ASSERT_EQ(b.status, SolveStatus::Optimal);
-    EXPECT_NEAR(b.objective, 2.75, 1e-9);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.x, b.x);
-    EXPECT_NEAR(a.objective, b.objective, 1e-12);
-  }
-
-  const auto a = solve_pdhg(repeated);
-  const auto b = solve_pdhg(merged);
+  const auto a = solve_simplex(repeated);
+  const auto b = solve_simplex(merged);
   ASSERT_EQ(a.status, SolveStatus::Optimal);
   ASSERT_EQ(b.status, SolveStatus::Optimal);
+  EXPECT_TRUE(test::certify_optimal(repeated, a));
+  EXPECT_TRUE(test::certify_optimal(merged, b));
+  EXPECT_NEAR(b.objective, 2.75, 1e-9);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.x, b.x);
-  EXPECT_NEAR(a.dual_bound, b.dual_bound, 1e-12);
-  EXPECT_NEAR(b.dual_bound, 2.75, 1e-3);
+  EXPECT_NEAR(a.objective, b.objective, 1e-12);
+
+  const auto pa = solve_pdhg(repeated);
+  const auto pb = solve_pdhg(merged);
+  ASSERT_EQ(pa.status, SolveStatus::Optimal);
+  ASSERT_EQ(pb.status, SolveStatus::Optimal);
+  EXPECT_EQ(pa.iterations, pb.iterations);
+  EXPECT_EQ(pa.x, pb.x);
+  EXPECT_NEAR(pa.dual_bound, pb.dual_bound, 1e-12);
+  EXPECT_NEAR(pb.dual_bound, 2.75, 1e-3);
+}
+
+// ---------------------------------------------------------------------------
+// The KKT certificate the solver tests rely on (tests/lp_certify.h) must
+// accept an optimal pair and name the first condition a wrong one breaks.
+
+TEST(Certificate, NamesTheFirstViolatedCondition) {
+  // min x0 + x1 s.t. x0 + x1 >= 1, 0 <= x <= 2: optimum 1 with y = 1.
+  LpModel model;
+  const auto x0 = model.add_variable(0, 2, 1);
+  const auto x1 = model.add_variable(0, 2, 1);
+  model.add_row(RowType::Ge, 1, {x0, x1}, {1, 1});
+  const auto verdict = [&](std::vector<double> x, double y, double objective) {
+    LpSolution solution;
+    solution.x = std::move(x);
+    solution.y = {y};
+    solution.objective = objective;
+    const auto result = test::certify_optimal(model, solution);
+    return result ? std::string("certified") : std::string(result.message());
+  };
+  EXPECT_EQ(verdict({1, 0}, 1, 1), "certified");
+  EXPECT_NE(verdict({0, 0}, 1, 0).find("primal row"), std::string::npos);
+  EXPECT_NE(verdict({1, 0}, 1, 2).find("objective"), std::string::npos);
+  EXPECT_NE(verdict({1, 0}, -1, 1).find("dual sign"), std::string::npos);
+  EXPECT_NE(verdict({1, 0}, 0.5, 1).find("reduced cost sign at column 0"),
+            std::string::npos);
+  EXPECT_NE(verdict({2, 0}, 1, 2).find("complementary slackness"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -919,19 +948,15 @@ TEST(SimplexDegenerate, TinyRefactorPeriodStaysExact) {
 }
 
 TEST(SimplexDegenerate, BealeCyclingSolvedUnderAllBases) {
-  // The degenerate pivot sequence must terminate at the optimum whichever
-  // basis representation tracks it.
+  // The degenerate pivot sequence must terminate at a certified optimum
+  // under the default configuration, whatever bases it passes through.
   const auto model = beale_cycling_lp();
-  for (const auto basis : {SimplexOptions::Basis::ForrestTomlin,
-                           SimplexOptions::Basis::DenseInverse}) {
-    SimplexOptions options;
-    options.basis = basis;
-    const auto sol = solve_simplex(model, options);
-    ASSERT_EQ(sol.status, SolveStatus::Optimal);
-    EXPECT_NEAR(sol.objective, -0.05, 1e-9);
-    EXPECT_NEAR(sol.x[0], 0.04, 1e-9);
-    EXPECT_NEAR(sol.x[2], 1.0, 1e-9);
-  }
+  const auto sol = solve_simplex(model);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_TRUE(test::certify_optimal(model, sol));
+  EXPECT_NEAR(sol.objective, -0.05, 1e-9);
+  EXPECT_NEAR(sol.x[0], 0.04, 1e-9);
+  EXPECT_NEAR(sol.x[2], 1.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -954,15 +979,9 @@ TEST(SimplexEta, ParanoidStabilityToleranceStillTerminates) {
   for (int seed = 0; seed < 5; ++seed) {
     Rng rng(9200 + seed);
     auto lp = random_feasible_lp(rng, 10, 8, /*with_equalities=*/true);
-    SimplexOptions dense;
-    dense.basis = SimplexOptions::Basis::DenseInverse;
-    const auto reference = solve_simplex(lp.model, dense);
-    ASSERT_EQ(reference.status, SolveStatus::Optimal) << "seed " << seed;
     const auto paranoid = solve_simplex(lp.model, options);
     ASSERT_EQ(paranoid.status, SolveStatus::Optimal) << "seed " << seed;
-    EXPECT_NEAR(paranoid.objective, reference.objective,
-                1e-6 * (1 + std::abs(reference.objective)))
-        << "seed " << seed;
+    EXPECT_TRUE(test::certify_optimal(lp.model, paranoid)) << "seed " << seed;
   }
 }
 
@@ -993,31 +1012,22 @@ TEST(SimplexDifferential, DefaultMatchesPdhgOnRandomModels) {
 
 // ---------------------------------------------------------------------------
 // Dynamic Devex pricing: maintained reduced costs + pivot-row weight
-// updates must reach the same certified optimum under either basis
-// representation, stay exact across reference-framework resets and
-// refactor cadences, and be bit-identical under the parallel pivot-row
-// pass.
+// updates must reach a certified optimum, and stay exact across
+// reference-framework resets and refactor cadences.
 
-TEST(SimplexDevex, DynamicMatchesDenseInverseOn50RandomModels) {
+TEST(SimplexDevex, DynamicOptimumCertifiedOn50RandomModels) {
   for (int seed = 0; seed < 50; ++seed) {
     Rng rng(7500 + seed);
     const std::size_t vars = 8 + rng.uniform_index(12);
     const std::size_t rows = 6 + rng.uniform_index(10);
     auto lp = random_feasible_lp(rng, vars, rows, seed % 2 == 0);
 
-    const auto dynamic = solve_simplex(lp.model);  // Forrest–Tomlin default
-    SimplexOptions dense;
-    dense.basis = SimplexOptions::Basis::DenseInverse;
-    const auto reference = solve_simplex(lp.model, dense);
-
+    const auto dynamic = solve_simplex(lp.model);
     ASSERT_EQ(dynamic.status, SolveStatus::Optimal) << "seed " << seed;
-    ASSERT_EQ(reference.status, SolveStatus::Optimal) << "seed " << seed;
-    const double scale = 1 + std::abs(reference.objective);
-    EXPECT_NEAR(dynamic.objective, reference.objective, 1e-6 * scale)
+    EXPECT_TRUE(test::certify_optimal(lp.model, dynamic)) << "seed " << seed;
+    EXPECT_NEAR(dynamic.dual_bound, dynamic.objective,
+                1e-5 * (1 + std::abs(dynamic.objective)))
         << "seed " << seed;
-    EXPECT_NEAR(dynamic.dual_bound, reference.dual_bound, 1e-5 * scale)
-        << "seed " << seed;
-    EXPECT_LE(lp.model.max_violation(dynamic.x), 1e-6) << "seed " << seed;
   }
 }
 
@@ -1095,6 +1105,63 @@ TEST(Pdhg, SolvesBoxOnlyProblem) {
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_DOUBLE_EQ(sol.objective, -6 - 4);
   EXPECT_DOUBLE_EQ(sol.dual_bound, sol.objective);
+}
+
+// With no rows, PDHG answers in closed form the way both simplex methods
+// do: a zero-cost column sits at 0 clamped into its box, and a cost toward
+// an infinite bound is unbounded.
+SolveStatus solve_rowless_three_ways(const LpModel& model,
+                                     const std::string& tag) {
+  SimplexOptions dual;
+  dual.method = SimplexOptions::Method::Dual;
+  const auto pdhg = solve_pdhg(model);
+  for (const auto& simplex :
+       {solve_simplex(model), solve_simplex(model, dual)}) {
+    EXPECT_EQ(simplex.status, pdhg.status) << tag;
+    if (simplex.status != SolveStatus::Optimal) continue;
+    EXPECT_TRUE(test::certify_optimal(model, simplex)) << tag;
+    EXPECT_NEAR(simplex.objective, pdhg.objective, 1e-12) << tag;
+  }
+  if (pdhg.status == SolveStatus::Optimal) {
+    EXPECT_TRUE(test::certify_optimal(model, pdhg)) << tag;
+    EXPECT_EQ(pdhg.dual_bound, pdhg.objective) << tag;
+  } else {
+    EXPECT_EQ(pdhg.dual_bound, -kInfinity) << tag;
+  }
+  return pdhg.status;
+}
+
+TEST(Pdhg, RowlessZeroCostColumnsSitAtZeroInTheirBox) {
+  LpModel model;
+  model.add_variable(0, 2, -1);
+  model.add_variable(-kInfinity, kInfinity, 0);
+  model.add_variable(1, 3, 0);
+  model.add_variable(-4, -2, 0);
+  ASSERT_EQ(solve_rowless_three_ways(model, "zero-cost"), SolveStatus::Optimal);
+  const auto sol = solve_pdhg(model);
+  EXPECT_EQ(sol.x, (std::vector<double>{2, 0, 1, -2}));
+  EXPECT_EQ(sol.objective, -2);
+}
+
+TEST(Pdhg, RowlessCostTowardInfiniteBoundIsUnbounded) {
+  LpModel model;
+  model.add_variable(0, 2, -1);
+  model.add_variable(0, kInfinity, -1);
+  EXPECT_EQ(solve_rowless_three_ways(model, "up"), SolveStatus::Unbounded);
+  LpModel down;
+  down.add_variable(-kInfinity, kInfinity, 0.5);
+  EXPECT_EQ(solve_rowless_three_ways(down, "free"), SolveStatus::Unbounded);
+}
+
+// The warm-fuzz partner of fuzz_lp(50000 + 1428): every generated row came
+// out empty and was skipped, leaving 27 columns and no rows.
+TEST(Pdhg, RowlessFuzzPartnerSeed51428) {
+  const auto fuzz = test::fuzz_lp(50000 + 1428);
+  const auto partner = test::fuzz_warm_perturbed(fuzz, 50000 + 1428);
+  ASSERT_EQ(partner.model.row_count(), 0u);
+  ASSERT_EQ(partner.model.variable_count(), 27u);
+  EXPECT_EQ(solve_rowless_three_ways(partner.model, "seed 51428"),
+            SolveStatus::Optimal);
 }
 
 TEST(Pdhg, DetectsInfeasibilityViaThreshold) {
@@ -1219,16 +1286,6 @@ TEST(SimplexDual, DualDetectsInfeasibilityAfterBoundChange) {
   warm.warm_start = &seed.basis;
   const auto sol = solve_simplex(feasible, warm);
   EXPECT_EQ(sol.status, SolveStatus::Infeasible);
-}
-
-TEST(SimplexDual, DenseInverseFallsBackToPrimal) {
-  const auto model = dual_fixture();
-  SimplexOptions options;
-  options.method = SimplexOptions::Method::Dual;
-  options.basis = SimplexOptions::Basis::DenseInverse;
-  const auto sol = solve_simplex(model, options);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sol.objective, -5, 1e-9);
 }
 
 TEST(SimplexDual, UnboundedFallsBackToPrimal) {
