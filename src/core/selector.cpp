@@ -107,6 +107,9 @@ SelectionReport HeuristicSelector::select(
     bound_options.parallelism = matvec_cap;
   std::atomic<std::size_t> next{0};
   const auto drain = [&] {
+    // A pool worker has no span of its own open: its slots' spans nest
+    // under this selector span, as the calling thread's do.
+    const obs::ParentScope fan_out(span.id());
     for (std::size_t slot = next++; slot < slots; slot = next++)
       details[slot] =
           bounds::compute_bound_detail(instance, spec(slot), bound_options);

@@ -18,6 +18,10 @@ namespace wanplace::lp {
 
 namespace {
 
+/// Consider a restart (to the better of the current and the averaged
+/// iterate, with a primal-weight update) every this many iterations.
+constexpr std::size_t kRestartPeriod = 500;
+
 /// Canonical form: min c^T x  s.t.  K x >= q (ineq rows) / K x = q (eq
 /// rows), lo <= x <= up. Le rows of the source model are negated into Ge.
 struct Canonical {
@@ -281,7 +285,7 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
 
     // Restart at the better point; adapt the primal weight to observed
     // movement (light-weight version of PDLP's update).
-    if ((iteration + 1) % options.restart_period == 0) {
+    if ((iteration + 1) % kRestartPeriod == 0) {
       const std::vector<double>& rx =
           average.merit <= current.merit ? avg_x : x;
       const std::vector<double>& ry =

@@ -25,8 +25,6 @@ struct PdhgOptions {
   double tolerance = 1e-4;
   /// Evaluate progress / certificates every this many iterations.
   std::size_t check_period = 100;
-  /// Consider a restart every this many iterations at most.
-  std::size_t restart_period = 500;
   /// Declare infeasibility when the certified bound exceeds this value
   /// (callers pass a known upper bound on any feasible objective;
   /// +infinity disables the check).

@@ -20,6 +20,10 @@ namespace {
 
 constexpr double kInf = kInfinity;
 
+// Smallest pivot element either loop lets through its ratio test, and the
+// Forrest–Tomlin update's own acceptance threshold.
+constexpr double kPivotTol = 1e-9;
+
 // Relative disagreement between the FTRAN'd pivot element and its
 // independently BTRAN'd value (rho^T A_q) that forces a refactorization
 // before the pivot is committed. Loose enough that healthy update files
@@ -67,9 +71,16 @@ class Simplex {
     obs::Span span("simplex");
     build_columns();
     reset_state();
-    const LpSolution solution =
-        options_.method == SimplexOptions::Method::Dual ? run_dual()
-                                                        : run_phases();
+    Stopwatch watch;
+    LpSolution solution;
+    solution.status = options_.method == SimplexOptions::Method::Dual
+                          ? run_dual()
+                          : run_primal();
+    // An infeasible model has no point or duals worth reporting.
+    if (solution.status != SolveStatus::Infeasible) fill_solution(solution);
+    solution.iterations = iterations_;
+    solution.refactorizations = refactorizations_;
+    solution.solve_seconds = watch.elapsed_seconds();
     if (span.active()) {
       span.attr("rows", static_cast<double>(m_));
       span.attr("cols", static_cast<double>(cols_.n));
@@ -81,58 +92,33 @@ class Simplex {
   }
 
  private:
-  LpSolution run_phases() {
-    Stopwatch watch;
-
+  /// The two-phase primal method. A warm start is only usable when the
+  /// imported point already satisfies the bounds — phase 1 cannot price
+  /// basic infeasibility; the dual method exists for the infeasible-start
+  /// case.
+  SolveStatus run_primal() {
     if (import_warm_start()) {
-      // A warm primal start is only usable when the imported point already
-      // satisfies the bounds — phase 1 cannot price basic infeasibility.
-      // The dual method exists for the infeasible-start case.
       set_phase_costs(/*phase1=*/false);
       if (primal_feasible()) {
         count_warm_accepted();
-        stall_count_ = 0;
-        bland_ = false;
-        LpSolution solution;
-        solution.status = run_phase(/*phase1=*/false);
-        fill_solution(solution);
-        solution.solve_seconds = watch.elapsed_seconds();
-        return solution;
+        return run_phase(Phase::Two);
       }
       ++warm_infeasible_;
       reset_state();  // infeasible warm point: restart cold from scratch
     }
-    return run_cold_phases(watch);
+    return run_cold_phases();
   }
 
-  LpSolution run_cold_phases(Stopwatch& watch) {
+  SolveStatus run_cold_phases() {
     factorize_cold_basis();
-    LpSolution solution;
     // Phase 1: drive artificial infeasibility to zero.
     set_phase_costs(/*phase1=*/true);
-    const SolveStatus phase1 = run_phase(/*phase1=*/true);
-    if (phase1 == SolveStatus::IterationLimit) {
-      solution.status = SolveStatus::IterationLimit;
-      fill_solution(solution);
-      solution.solve_seconds = watch.elapsed_seconds();
-      return solution;
-    }
-    if (phase_objective() > feasibility_tol()) {
-      solution.status = SolveStatus::Infeasible;
-      solution.iterations = iterations_;
-      solution.refactorizations = refactorizations_;
-      solution.solve_seconds = watch.elapsed_seconds();
-      return solution;
-    }
+    if (run_phase(Phase::One) == SolveStatus::IterationLimit)
+      return SolveStatus::IterationLimit;
+    if (phase_objective() > feasibility_tol()) return SolveStatus::Infeasible;
     pin_artificials();
     set_phase_costs(/*phase1=*/false);
-    stall_count_ = 0;
-    bland_ = false;
-    const SolveStatus phase2 = run_phase(/*phase1=*/false);
-    solution.status = phase2;
-    fill_solution(solution);
-    solution.solve_seconds = watch.elapsed_seconds();
-    return solution;
+    return run_phase(Phase::Two);
   }
 
   /// Pin every artificial to [0, 0]. Nonbasic artificials go to the bound;
@@ -152,76 +138,50 @@ class Simplex {
   /// Dual simplex driver: warm basis if supplied (else the cold slack
   /// basis with artificials pinned), dual-feasibility repair (bound flips,
   /// with cost shifts covering one-sided columns — repair always
-  /// succeeds), then the dual iteration. When shifts were needed, a warm
-  /// primal phase 2 under the true costs closes the perturbation gap. A
-  /// terminal stall still falls back to the cold two-phase primal, so
-  /// callers never observe a wrong answer from choosing Method::Dual.
-  LpSolution run_dual() {
-    Stopwatch watch;
-    dual_mode_ = true;
+  /// succeeds, see refresh_incremental_state), then the dual iteration.
+  /// When shifts were needed, a warm primal phase 2 under the true costs
+  /// closes the perturbation gap. A terminal stall still falls back to the
+  /// cold two-phase primal, so callers never observe a wrong answer from
+  /// choosing Method::Dual.
+  SolveStatus run_dual() {
     ++dual_solves_;
-    const bool warm = import_warm_start();
-    if (!warm) {
+    if (import_warm_start()) {
+      count_warm_accepted();
+    } else {
       factorize_cold_basis();
       pin_artificials();
     }
     set_phase_costs(/*phase1=*/false);
-    refresh_incremental_state();
-    dual_shifted_ = false;
-    make_dual_feasible();
-    if (warm) count_warm_accepted();
-    stall_count_ = 0;
-    bland_ = false;
-    SolveStatus status = run_dual_phase();
+    const SolveStatus status = run_phase(Phase::Dual);
     if (dual_abort_) {
       ++dual_fallbacks_;
-      dual_mode_ = false;
-      dual_abort_ = false;
-      dual_shifted_ = false;
       reset_state();
-      stall_count_ = 0;
-      bland_ = false;
-      return run_cold_phases(watch);
+      return run_cold_phases();
     }
-    if (dual_shifted_ && status == SolveStatus::Optimal) {
-      // The dual phase optimized shifted costs, so its end point is primal
-      // feasible but possibly not optimal for the true objective: restore
-      // the true costs and let a warm primal phase 2 close the gap.
-      set_phase_costs(/*phase1=*/false);
-      dual_mode_ = false;
-      dual_shifted_ = false;
-      refresh_incremental_state();
-      stall_count_ = 0;
-      bland_ = false;
-      status = run_phase(/*phase1=*/false);
-    }
-    dual_shifted_ = false;
-    LpSolution solution;
-    solution.status = status;
-    if (status == SolveStatus::Infeasible) {
-      solution.iterations = iterations_;
-      solution.refactorizations = refactorizations_;
-      solution.solve_seconds = watch.elapsed_seconds();
-      return solution;
-    }
-    fill_solution(solution);
-    solution.solve_seconds = watch.elapsed_seconds();
-    return solution;
+    if (!dual_shifted_ || status != SolveStatus::Optimal) return status;
+    // The dual phase optimized shifted costs, so its end point is primal
+    // feasible but possibly not optimal for the true objective: restore
+    // the true costs and let a warm primal phase 2 close the gap.
+    set_phase_costs(/*phase1=*/false);
+    return run_phase(Phase::Two);
   }
 
-  SolveStatus run_dual_phase() {
-    obs::Span span("dual");
-    const std::size_t iters_before = iterations_;
-    const SolveStatus status = iterate_dual();
-    if (span.active())
-      span.attr("iterations", static_cast<double>(iterations_ - iters_before));
-    return status;
-  }
+  enum class Phase { One, Two, Dual };
 
-  SolveStatus run_phase(bool phase1) {
-    obs::Span span(phase1 ? "phase1" : "phase2");
+  /// Run one phase's loop (the primal for One and Two, the dual for Dual)
+  /// from a clean slate: no stall history, out of Bland mode, and the
+  /// incremental state refreshed from the current factors.
+  SolveStatus run_phase(Phase phase) {
+    static constexpr const char* kSpanNames[] = {"phase1", "phase2", "dual"};
+    obs::Span span(kSpanNames[static_cast<std::size_t>(phase)]);
     const std::size_t iters_before = iterations_;
-    const SolveStatus status = iterate();
+    dual_mode_ = phase == Phase::Dual;
+    stall_count_ = 0;
+    bland_ = false;
+    pivots_since_refactor_ = 0;
+    refresh_incremental_state();
+    last_objective_ = objective_;
+    const SolveStatus status = dual_mode_ ? iterate_dual() : iterate();
     if (span.active())
       span.attr("iterations", static_cast<double>(iterations_ - iters_before));
     return status;
@@ -349,8 +309,7 @@ class Simplex {
   /// spike + elimination fill that only a fresh factorization
   /// re-compresses; the +64 floor keeps tiny bases from refactorizing on
   /// noise.
-  bool refactor_due(bool updated, std::size_t pivots_since_refactor,
-                    RefactorCause& cause) {
+  bool refactor_due(bool updated, RefactorCause& cause) {
     if (!updated) {
       cause = RefactorCause::FtRefused;
       return true;
@@ -360,7 +319,7 @@ class Simplex {
       cause = RefactorCause::Verify;
       return true;
     }
-    if (pivots_since_refactor >= effective_refactor_period()) {
+    if (pivots_since_refactor_ >= effective_refactor_period()) {
       cause = RefactorCause::Period;
       return true;
     }
@@ -564,29 +523,36 @@ class Simplex {
           static_cast<double>(nnz) / static_cast<double>(m_));
   }
 
-  /// w = Binv * A_q
-  void compute_direction(std::size_t q, std::vector<double>& w) {
-    w.assign(m_, 0.0);
-    if (use_sparse_kernels() && sparse_attempt_allowed(ftran_gate_)) {
-      rhs_pattern_.clear();
-      cols_.for_column(q, [&](std::size_t r, double v) {
-        w[r] += v;
-        rhs_pattern_.push_back(static_cast<std::uint32_t>(r));
-      });
+  /// FTRAN `rhs` in place: through the hyper-sparse kernel when `sparse`
+  /// (the caller asked ftran_gate_ and filled rhs_pattern_ with the RHS's
+  /// nonzero rows), else dense; counts which kernel ran.
+  void ftran(std::vector<double>& rhs, bool sparse) {
+    if (sparse) {
       note_rhs_density(rhs_pattern_.size());
       const bool went_sparse = lu_.ftran_sparse(
-          w, rhs_pattern_, options_.sparse_density_threshold);
+          rhs, rhs_pattern_, options_.sparse_density_threshold);
       note_sparse_outcome(ftran_gate_, went_sparse);
       if (went_sparse) {
         ++ftran_sparse_;
-      } else {
-        ++ftran_dense_;
+        return;
       }
-      return;
+    } else {
+      lu_.ftran(rhs);
     }
-    cols_.for_column(q, [&](std::size_t r, double v) { w[r] += v; });
-    lu_.ftran(w);
     ++ftran_dense_;
+  }
+
+  /// w = Binv * A_q
+  void compute_direction(std::size_t q, std::vector<double>& w) {
+    w.assign(m_, 0.0);
+    const bool sparse =
+        use_sparse_kernels() && sparse_attempt_allowed(ftran_gate_);
+    if (sparse) rhs_pattern_.clear();
+    cols_.for_column(q, [&](std::size_t r, double v) {
+      w[r] += v;
+      if (sparse) rhs_pattern_.push_back(static_cast<std::uint32_t>(r));
+    });
+    ftran(w, sparse);
   }
 
   /// rho_ = B^{-T} e_p, tracking the result's nonzero pattern when the
@@ -701,7 +667,13 @@ class Simplex {
     recompute_basic_values();
   }
 
-  void refactorize() {
+  /// Refactorize the current basis (a singular one rolls back to the last
+  /// factorized basis) and refresh the incremental state from the fresh
+  /// factors, so the iteration that asked for it is retried on drift-free
+  /// numbers. Every refactorize-and-retry of both loops comes here: the
+  /// certify check, the drift and agreement guards and the Bland switch.
+  void refactorize(RefactorCause cause) {
+    note_refactor(cause);
     ++refactorizations_;
     // A fresh factorization sheds the accumulated R-file fill, so the
     // sparse kernels get an immediate retry regardless of prior bails.
@@ -713,6 +685,8 @@ class Simplex {
       note_rollback();
       restore_good_basis();
     }
+    refresh_incremental_state();
+    pivots_since_refactor_ = 0;
   }
 
   void recompute_basic_values() {
@@ -729,7 +703,9 @@ class Simplex {
 
   /// Recompute the incremental state (duals, phase objective and the
   /// cached reduced costs) from the current basis inverse, discarding
-  /// accumulated pivot drift.
+  /// accumulated pivot drift. The dual loop then re-establishes its
+  /// invariant: make_dual_feasible flips (or cost-shifts) any nonbasic
+  /// whose recomputed reduced cost has the wrong sign.
   void refresh_incremental_state() {
     compute_duals(y_);
     objective_ = phase_objective();
@@ -738,6 +714,7 @@ class Simplex {
     for (std::size_t j = 0; j < total; ++j)
       d_[j] = status_[j] == VarStatus::Basic ? 0.0 : reduced_cost(j, y_);
     duals_clean_ = true;
+    if (dual_mode_) make_dual_feasible();
   }
 
   /// Attempt to start from the snapshot in options_.warm_start. On success
@@ -1047,6 +1024,142 @@ class Simplex {
       alpha_[j] = status_[j] == VarStatus::Basic ? 0.0 : cols_.dot(j, rho_);
   }
 
+  /// Automatic iteration cap of both loops (options_.max_iterations wins).
+  std::size_t iteration_cap() const {
+    return options_.max_iterations > 0
+               ? options_.max_iterations
+               : std::max<std::size_t>(5000, 60 * (m_ + cols_.n));
+  }
+
+  /// Stability guards a chosen pivot must pass before either loop commits
+  /// it. Both apply under a non-empty update file only: fresh factors are
+  /// trusted. A pivot this small under an aged update file is as likely
+  /// accumulated FTRAN error as a real near-degenerate column.
+  bool pivot_drifted(double pivot) const {
+    return lu_.update_count() > 0 &&
+           std::abs(pivot) < options_.lu_stability_tolerance;
+  }
+
+  /// The pivot element is available through two independent solve paths —
+  /// FTRAN'd into the entering column's image, and as rho^T A_q with
+  /// rho = B^{-T} e_p from BTRAN. Under an aged update file the two
+  /// accumulate *different* roundoff, so a mismatch is direct evidence the
+  /// factorization has drifted; committing such a pivot can silently make
+  /// the basis singular (discovered only at the next refactorization, long
+  /// after the damage).
+  bool pivot_disagrees(double ftran_pivot, double btran_pivot) const {
+    return lu_.update_count() > 0 &&
+           !(std::abs(ftran_pivot - btran_pivot) <=
+             kPivotAgreementTol * (1 + std::abs(ftran_pivot)));
+  }
+
+  /// What commit_pivot did with a basis change.
+  enum class Commit {
+    Updated,       // Forrest–Tomlin update kept, no refactorization due
+    Refactorized,  // the new basis was factorized; state refreshed
+    RolledBack,    // the new basis was singular: the old one is back
+    Broken,        // dual: a pivot chosen on fresh factors broke the basis
+  };
+
+  /// What commit_pivot needs to undo a basis change: the entering column's
+  /// value and status from before the loop moved it.
+  struct PivotUndo {
+    std::size_t pos;  // basis position the entering column takes
+    std::size_t entering;
+    std::size_t leaving;
+    double entering_x;
+    VarStatus entering_status;
+  };
+
+  /// The basis change both loops commit through, after they have moved the
+  /// values, the leaving column's status and their duals: the
+  /// Forrest–Tomlin update, the refactor policy (refusal, verify, period,
+  /// fill) and, when the refactorization finds the new basis singular, the
+  /// rollback. Under an update file, drift may have let a numerically dead
+  /// pivot through the ratio test (its FTRAN'd magnitude cleared kPivotTol,
+  /// its true value did not): the basis change is undone and the iteration
+  /// retried on drift-free numbers. A pivot chosen on fresh factors is
+  /// itself the culprit (its magnitude clears kPivotTol but not the LU's
+  /// singularity threshold). That case is the one difference between the
+  /// methods: the primal refuses the column until the next committed pivot
+  /// (banned_) and rolls back; the dual cannot refuse a ratio-test winner,
+  /// so it gets Broken and hands the model to the cold primal. When the
+  /// basis before the pivot is singular too, the last factorized basis
+  /// takes over.
+  Commit commit_pivot(const PivotUndo& undo) {
+    basis_[undo.pos] = undo.entering;
+    status_[undo.entering] = VarStatus::Basic;
+    const std::size_t updates_before = lu_.update_count();
+    const bool updated = lu_.update(undo.pos, kPivotTol);
+    ++pivots_since_refactor_;
+    RefactorCause cause{};
+    if (!refactor_due(updated, cause)) return Commit::Updated;
+    note_refactor(cause);
+    ++refactorizations_;
+    if (try_factorize_lu()) {
+      recompute_basic_values();
+      refresh_incremental_state();
+      pivots_since_refactor_ = 0;
+      return Commit::Refactorized;
+    }
+    note_rollback();
+    if (updates_before == 0) {
+      if (dual_mode_) return Commit::Broken;
+      banned_ = undo.entering;
+    }
+    basis_[undo.pos] = undo.leaving;
+    status_[undo.leaving] = VarStatus::Basic;
+    status_[undo.entering] = undo.entering_status;
+    x_[undo.entering] = undo.entering_x;
+    if (try_factorize_lu()) {
+      recompute_basic_values();
+    } else {
+      restore_good_basis();
+    }
+    refresh_incremental_state();
+    pivots_since_refactor_ = 0;
+    return Commit::RolledBack;
+  }
+
+  /// Bookkeeping after every committed iteration of either loop. A
+  /// committed iteration moves the basis or a bound, so a refused column may
+  /// enter again. Degenerate pivots (basis changes with a zero step) are
+  /// counted in streaks, the classic stall signature. The stall counter
+  /// runs on the phase objective, which the primal decreases and the dual
+  /// increases: a stall first switches to Bland's rules on drift-free
+  /// duals, so the anti-cycling argument holds on exact reduced costs.
+  /// Returns false when the stall then outlasts 8 x stall_limit
+  /// iterations in Bland mode; the dual aborts to the cold primal on that,
+  /// the primal's Bland rule cannot cycle and carries on.
+  bool track_progress(bool basis_changed, bool degenerate) {
+    banned_ = SIZE_MAX;
+    if (basis_changed) {
+      if (degenerate) {
+        ++degenerate_pivots_;
+        degenerate_streak_max_ =
+            std::max(degenerate_streak_max_, ++degenerate_streak_);
+      } else {
+        degenerate_streak_ = 0;
+      }
+    }
+    const bool improved =
+        dual_mode_ ? objective_ > last_objective_ + options_.tolerance
+                   : objective_ < last_objective_ - options_.tolerance;
+    if (improved) {
+      last_objective_ = objective_;
+      stall_count_ = 0;
+      bland_ = false;
+    } else if (++stall_count_ > options_.stall_limit) {
+      if (!bland_) {
+        refactorize(RefactorCause::Bland);
+        bland_ = true;
+      } else if (stall_count_ > 8 * options_.stall_limit) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// Dual simplex main loop. Invariants: the cached reduced costs d_ stay
   /// dual feasible (within tolerance) and the phase objective is
   /// non-decreasing — each pivot moves it by ratio * |infeasibility| >= 0.
@@ -1060,11 +1173,7 @@ class Simplex {
   /// entering column (a certified dual ray); and sets dual_abort_ when it
   /// stalls beyond recovery so run_dual can rerun the cold primal.
   SolveStatus iterate_dual() {
-    const std::size_t max_iters =
-        options_.max_iterations > 0
-            ? options_.max_iterations
-            : std::max<std::size_t>(5000, 60 * (m_ + cols_.n));
-    constexpr double pivot_tol = 1e-9;
+    const std::size_t max_iters = iteration_cap();
     std::vector<double> w;
     struct Breakpoint {
       std::size_t j;
@@ -1074,8 +1183,6 @@ class Simplex {
     std::vector<Breakpoint> breakpoints;
     std::vector<std::size_t> flips;
     dual_weight_.assign(m_, 1.0);
-    double last_objective = objective_;
-    std::size_t pivots_since_refactor = 0;
 
     for (; iterations_ < max_iters; ++iterations_) {
       // Leaving row: the basic position with the largest bound violation,
@@ -1114,10 +1221,7 @@ class Simplex {
         // declaring optimality, rebuild the factorization and re-check on
         // fresh numbers — drift must never certify a false optimum.
         if (duals_clean_) return SolveStatus::Optimal;
-        note_refactor(RefactorCause::Certify);
-        refactorize();
-        refresh_dual_state();
-        pivots_since_refactor = 0;
+        refactorize(RefactorCause::Certify);
         continue;
       }
 
@@ -1138,11 +1242,11 @@ class Simplex {
         const double a = s * alpha_[j];
         bool candidate = false;
         if (status_[j] == VarStatus::AtLower) {
-          candidate = a > pivot_tol;
+          candidate = a > kPivotTol;
         } else if (status_[j] == VarStatus::AtUpper) {
-          candidate = a < -pivot_tol;
+          candidate = a < -kPivotTol;
         } else {  // FreeZero: blocks immediately in either direction
-          candidate = std::abs(a) > pivot_tol;
+          candidate = std::abs(a) > kPivotTol;
         }
         if (!candidate) continue;
         const double ratio = std::max(0.0, d_[j] / a);
@@ -1195,10 +1299,7 @@ class Simplex {
         // a dual ray — the primal is infeasible. Certify on fresh numbers
         // first, as with optimality. (The flip list was never applied.)
         if (duals_clean_) return SolveStatus::Infeasible;
-        note_refactor(RefactorCause::Certify);
-        refactorize();
-        refresh_dual_state();
-        pivots_since_refactor = 0;
+        refactorize(RefactorCause::Certify);
         continue;
       }
 
@@ -1235,20 +1336,7 @@ class Simplex {
             }
           });
         }
-        if (sparse) {
-          note_rhs_density(rhs_pattern_.size());
-          const bool went_sparse = lu_.ftran_sparse(
-              flip_rhs_, rhs_pattern_, options_.sparse_density_threshold);
-          note_sparse_outcome(ftran_gate_, went_sparse);
-          if (went_sparse) {
-            ++ftran_sparse_;
-          } else {
-            ++ftran_dense_;
-          }
-        } else {
-          lu_.ftran(flip_rhs_);
-          ++ftran_dense_;
-        }
+        ftran(flip_rhs_, sparse);
         for (std::size_t i = 0; i < m_; ++i)
           x_[basis_[i]] -= flip_rhs_[i];
         bound_flips_ += flips.size();
@@ -1263,26 +1351,15 @@ class Simplex {
       // agreement test, with both paths free here), plus the small-pivot
       // drift guard. A retry re-prices on fresh numbers; flips already
       // committed stay (they are valid state on their own) and any
-      // reduced-cost sign they relied on is re-repaired by
-      // refresh_dual_state.
+      // reduced-cost sign they relied on is re-repaired by the refresh.
       compute_direction(entering, w);
       const double pivot = w[p_row];
-      if (lu_.update_count() > 0) {
-        const bool drifted =
-            std::abs(pivot) < options_.lu_stability_tolerance;
-        const bool disagree =
-            !(std::abs(pivot - alpha_[entering]) <=
-              kPivotAgreementTol * (1 + std::abs(pivot)));
-        if (drifted || disagree) {
-          note_refactor(drifted ? RefactorCause::Drift
-                                : RefactorCause::Agreement);
-          refactorize();
-          refresh_dual_state();
-          pivots_since_refactor = 0;
-          continue;
-        }
+      const bool drifted = pivot_drifted(pivot);
+      if (drifted || pivot_disagrees(pivot, alpha_[entering])) {
+        refactorize(drifted ? RefactorCause::Drift : RefactorCause::Agreement);
+        continue;
       }
-      if (std::abs(pivot) <= pivot_tol) {
+      if (std::abs(pivot) <= kPivotTol) {
         // Numerically dead pivot on fresh factors: the dual method cannot
         // continue safely — hand the model to the cold primal.
         return dual_stop();
@@ -1293,11 +1370,9 @@ class Simplex {
       const double theta = d_q / pivot;  // dual step
       const double t = delta / pivot;    // primal step of the entering var
 
-      // Rollback stash (mirrors the primal loop): if the post-pivot
-      // factorization fails, the basis change is undone and the iteration
-      // retried on fresh numbers.
-      const double entering_x_before = x_[entering];
-      const VarStatus entering_status_before = status_[entering];
+      // Undo record for commit_pivot, taken before any value moves.
+      const PivotUndo undo{p_row, entering, leaving, x_[entering],
+                           status_[entering]};
 
       // Primal update: basic values move against t * w; the leaving
       // variable lands exactly on its violated bound.
@@ -1305,7 +1380,7 @@ class Simplex {
         for (std::size_t i = 0; i < m_; ++i)
           if (w[i] != 0) x_[basis_[i]] -= t * w[i];
       }
-      x_[entering] = entering_x_before + t;
+      x_[entering] = undo.entering_x + t;
       objective_ += d_q * t;
       x_[leaving] = s > 0 ? upper_[leaving] : lower_[leaving];
       status_[leaving] =
@@ -1347,79 +1422,12 @@ class Simplex {
         }
       }
 
-      // Basis change + factorization update, with the primal loop's
-      // refactor policy (period, FT fill guard, refusal) and
-      // singular-rollback recovery.
-      basis_[p_row] = entering;
-      status_[entering] = VarStatus::Basic;
-      const std::size_t updates_before = lu_.update_count();
-      const bool updated = lu_.update(p_row, pivot_tol);
-      ++pivots_since_refactor;
-      RefactorCause cause{};
-      if (refactor_due(updated, pivots_since_refactor, cause)) {
-        note_refactor(cause);
-        ++refactorizations_;
-        if (try_factorize_lu()) {
-          recompute_basic_values();
-          refresh_dual_state();
-          pivots_since_refactor = 0;
-        } else {
-          note_rollback();
-          // Chosen on fresh factors, the pivot itself breaks the basis:
-          // the dual method cannot refuse a ratio-test winner, so the
-          // cold primal takes over.
-          if (updates_before == 0) return dual_stop();
-          basis_[p_row] = leaving;
-          status_[leaving] = VarStatus::Basic;
-          status_[entering] = entering_status_before;
-          x_[entering] = entering_x_before;
-          if (try_factorize_lu()) {
-            recompute_basic_values();
-          } else {
-            restore_good_basis();
-          }
-          refresh_dual_state();
-          pivots_since_refactor = 0;
-          continue;
-        }
-      }
-
-      // Degenerate-pivot and stall tracking, as in the primal loop but on
-      // the non-decreasing dual objective. A stall first switches to the
-      // Bland-style rules on fresh numbers; a stall that survives Bland
-      // mode aborts to the cold primal rather than looping forever.
-      if (t == 0) {
-        ++degenerate_pivots_;
-        degenerate_streak_max_ =
-            std::max(degenerate_streak_max_, ++degenerate_streak_);
-      } else {
-        degenerate_streak_ = 0;
-      }
-      if (objective_ > last_objective + options_.tolerance) {
-        last_objective = objective_;
-        stall_count_ = 0;
-        bland_ = false;
-      } else if (++stall_count_ > options_.stall_limit) {
-        if (!bland_) {
-          note_refactor(RefactorCause::Bland);
-          refactorize();
-          refresh_dual_state();
-          pivots_since_refactor = 0;
-          bland_ = true;
-        } else if (stall_count_ > 8 * options_.stall_limit) {
-          return dual_stop();
-        }
-      }
+      const Commit commit = commit_pivot(undo);
+      if (commit == Commit::Broken) return dual_stop();
+      if (commit == Commit::RolledBack) continue;
+      if (!track_progress(/*basis_changed=*/true, t == 0)) return dual_stop();
     }
     return SolveStatus::IterationLimit;
-  }
-
-  /// Refresh incremental state from fresh factors, then re-establish the
-  /// dual loop's invariant: flipping (or cost-shifting) any nonbasic whose
-  /// recomputed reduced cost has the wrong sign (drift repair).
-  void refresh_dual_state() {
-    refresh_incremental_state();
-    make_dual_feasible();
   }
 
   /// Abandon the dual method mid-loop: run_dual reruns the cold primal.
@@ -1429,14 +1437,8 @@ class Simplex {
   }
 
   SolveStatus iterate() {
-    const std::size_t max_iters =
-        options_.max_iterations > 0
-            ? options_.max_iterations
-            : std::max<std::size_t>(5000, 60 * (m_ + cols_.n));
+    const std::size_t max_iters = iteration_cap();
     std::vector<double> w;
-    refresh_incremental_state();
-    double last_objective = objective_;
-    std::size_t pivots_since_refactor = 0;
 
     for (; iterations_ < max_iters; ++iterations_) {
       // Right after a factorization (the counter is 0 only then) the basic
@@ -1444,7 +1446,7 @@ class Simplex {
       // them inside their bounds. Roundoff in a near-singular basis can
       // carry them out; pivoting on from there would move the objective
       // the wrong way, so the phase stops with its certified dual bound.
-      if (pivots_since_refactor == 0 && !primal_feasible()) {
+      if (pivots_since_refactor_ == 0 && !primal_feasible()) {
         ++feasibility_lost_;
         return SolveStatus::IterationLimit;
       }
@@ -1462,10 +1464,7 @@ class Simplex {
             return SolveStatus::IterationLimit;
           return SolveStatus::Optimal;
         }
-        note_refactor(RefactorCause::Certify);
-        refactorize();
-        refresh_incremental_state();
-        pivots_since_refactor = 0;
+        refactorize(RefactorCause::Certify);
         continue;
       }
       const std::size_t entering = choice.entering;
@@ -1478,14 +1477,13 @@ class Simplex {
       // entering variable's own opposite bound) blocks. Within the tie
       // tolerance the non-Bland rule prefers the largest |pivot| for
       // stability, the Bland rule the lowest basis index (anti-cycling).
-      constexpr double pivot_tol = 1e-9;
       constexpr double ratio_tie = 1e-12;
       double step = upper_[entering] - lower_[entering];  // bound-flip cap
       std::size_t leaving_pos = SIZE_MAX;
       double leaving_bound = 0;
       for (std::size_t p = 0; p < m_; ++p) {
         const double delta = sigma * w[p];
-        if (std::abs(delta) <= pivot_tol) continue;
+        if (std::abs(delta) <= kPivotTol) continue;
         const std::size_t jb = basis_[p];
         double t, bound;
         if (delta > 0) {
@@ -1516,47 +1514,25 @@ class Simplex {
 
       if (step == kInf) return SolveStatus::Unbounded;
 
-      // Drift guard (Forrest–Tomlin): a pivot this small under an aged
-      // update file is as likely accumulated FTRAN error as a real
-      // near-degenerate column. Rebuild the factorization and retry the
+      // Stability guards: rebuild the factorization and retry the
       // iteration on drift-free numbers; after the rebuild the update file
-      // is empty, so the retried pivot is trusted.
-      if (leaving_pos != SIZE_MAX && lu_.update_count() > 0 &&
-          std::abs(w[leaving_pos]) < options_.lu_stability_tolerance) {
-        note_refactor(RefactorCause::Drift);
-        refactorize();
-        refresh_incremental_state();
-        pivots_since_refactor = 0;
-        continue;
-      }
-
-      // Pivot agreement test (Forrest–Tomlin, Tomlin-style): the pivot
-      // element is available through two independent solve paths — FTRAN'd
-      // into w, and as rho^T A_q with rho = B^{-T} e_p from BTRAN. Under an
-      // aged update file the two accumulate *different* roundoff, so a
-      // mismatch is direct evidence the factorization has drifted;
-      // committing such a pivot can silently make the basis singular
-      // (discovered only at the next refactorization, long after the
-      // damage). Rebuild and retry instead. rho_ is reused below for the
-      // dual update, so the test costs one sparse column dot.
+      // is empty, so the retried pivot is trusted. The drift guard runs
+      // first so a drifted pivot skips the BTRAN; rho_ is reused below for
+      // the dual update, so the agreement test costs one sparse column dot.
       if (leaving_pos != SIZE_MAX) {
+        if (pivot_drifted(w[leaving_pos])) {
+          refactorize(RefactorCause::Drift);
+          continue;
+        }
         compute_rho(leaving_pos);
-        const double pivot_btran = cols_.dot(entering, rho_);
-        if (lu_.update_count() > 0 &&
-            !(std::abs(pivot_btran - w[leaving_pos]) <=
-              kPivotAgreementTol * (1 + std::abs(w[leaving_pos])))) {
-          note_refactor(RefactorCause::Agreement);
-          refactorize();
-          refresh_incremental_state();
-          pivots_since_refactor = 0;
+        if (pivot_disagrees(w[leaving_pos], cols_.dot(entering, rho_))) {
+          refactorize(RefactorCause::Agreement);
           continue;
         }
       }
 
-      // Stashed so a failed refactorization after the pivot can roll the
-      // basis change back and retry on drift-free numbers.
+      // For commit_pivot's undo record: the step below moves it.
       const double entering_x_before = x_[entering];
-      const VarStatus entering_status_before = status_[entering];
 
       // Apply the step to all basic variables; the phase objective moves by
       // exactly d_entering per unit of (signed) step.
@@ -1580,11 +1556,9 @@ class Simplex {
         status_[leaving] = leaving_bound == lower_[leaving]
                                ? VarStatus::AtLower
                                : VarStatus::AtUpper;
-        status_[entering] = VarStatus::Basic;
-        basis_[leaving_pos] = entering;
 
         const double pivot = w[leaving_pos];
-        WANPLACE_CHECK(std::abs(pivot) > pivot_tol, "zero pivot");
+        WANPLACE_CHECK(std::abs(pivot) > kPivotTol, "zero pivot");
         // Incremental dual update before the basis update is applied:
         // with the old basis, y' = y + (d_entering / pivot) *
         // (B_old^{-T} e_p). rho_ still holds B_old^{-T} e_p from the
@@ -1594,48 +1568,13 @@ class Simplex {
         for (std::size_t i = 0; i < m_; ++i) y_[i] += scale * rho_[i];
         duals_clean_ = false;
 
-        // Forrest–Tomlin may refuse a numerically unacceptable update
-        // (stability guard) — the basis_ array has already changed, so
-        // the only safe continuation is a fresh factorization of the new
-        // basis.
-        const std::size_t updates_before = lu_.update_count();
-        const bool updated = lu_.update(leaving_pos, pivot_tol);
-        ++pivots_since_refactor;
-        RefactorCause cause{};
-        if (refactor_due(updated, pivots_since_refactor, cause)) {
-          note_refactor(cause);
-          ++refactorizations_;
-          if (try_factorize_lu()) {
-            recompute_basic_values();
-            refresh_incremental_state();
-            pivots_since_refactor = 0;
-          } else {
-            // The mutated basis is singular. Under an update file,
-            // drift may have let a numerically dead pivot through the
-            // ratio test (its FTRAN'd magnitude cleared pivot_tol, its
-            // true value did not): roll the basis change back and retry
-            // the iteration on drift-free numbers. A pivot chosen on
-            // fresh factors is itself the culprit (its magnitude clears
-            // pivot_tol but not the LU's singularity threshold): it is
-            // refused until the next committed pivot. When the basis
-            // before the pivot is singular too, the last factorized
-            // basis takes over.
-            note_rollback();
-            if (updates_before == 0) banned_ = entering;
-            basis_[leaving_pos] = leaving;
-            status_[leaving] = VarStatus::Basic;
-            status_[entering] = entering_status_before;
-            x_[entering] = entering_x_before;
-            if (try_factorize_lu()) {
-              recompute_basic_values();
-            } else {
-              restore_good_basis();
-            }
-            refresh_incremental_state();
-            pivots_since_refactor = 0;
-            continue;
-          }
-        } else {
+        // commit_pivot never reports Broken to the primal: it refuses the
+        // column through banned_ and rolls back instead.
+        const Commit commit = commit_pivot({leaving_pos, entering, leaving,
+                                            entering_x_before,
+                                            status_[entering]});
+        if (commit == Commit::RolledBack) continue;
+        if (commit == Commit::Updated) {
           const double inv_pivot = 1.0 / pivot;
           if (rho_pattern_valid_) {
             // rho_ is zero outside its tracked pattern, so only those
@@ -1652,45 +1591,12 @@ class Simplex {
         }
       }
 
-      // Degenerate-pivot streak (basis changes with a zero step; long
-      // streaks are the classic stall signature the stall counter reacts
-      // to). Reached only when the pivot was committed — the refactorize
-      // -and-retry paths `continue` above. A committed pivot moves the
-      // basis, so a refused column may enter again.
-      banned_ = SIZE_MAX;
-      if (leaving_pos != SIZE_MAX) {
-        if (step == 0) {
-          ++degenerate_pivots_;
-          degenerate_streak_max_ =
-              std::max(degenerate_streak_max_, ++degenerate_streak_);
-        } else {
-          degenerate_streak_ = 0;
-        }
-      }
-
-      // Stall / cycling protection on the incrementally tracked objective.
-      if (objective_ < last_objective - options_.tolerance) {
-        last_objective = objective_;
-        stall_count_ = 0;
-        bland_ = false;
-      } else if (++stall_count_ > options_.stall_limit) {
-        if (!bland_) {
-          // Entering Bland mode: restart from drift-free duals so the
-          // anti-cycling argument holds on exact reduced costs.
-          note_refactor(RefactorCause::Bland);
-          refactorize();
-          refresh_incremental_state();
-          pivots_since_refactor = 0;
-        }
-        bland_ = true;
-      }
+      track_progress(/*basis_changed=*/leaving_pos != SIZE_MAX, step == 0);
     }
     return SolveStatus::IterationLimit;
   }
 
   void fill_solution(LpSolution& solution) {
-    solution.iterations = iterations_;
-    solution.refactorizations = refactorizations_;
     solution.x.assign(x_.begin(), x_.begin() + cols_.n);
     set_phase_costs(/*phase1=*/false);
     std::vector<double> y;
@@ -1760,7 +1666,7 @@ class Simplex {
   double devex_wmax_ub_ = 1.0;
   double objective_ = 0;             // incrementally maintained phase obj
   bool duals_clean_ = false;         // y_ recomputed since the last pivot?
-  bool dual_mode_ = false;           // running the dual method?
+  bool dual_mode_ = false;           // is the running phase the dual's?
   bool dual_abort_ = false;          // dual stalled: rerun cold primal
   bool dual_shifted_ = false;        // costs shifted: primal cleanup owed
   std::size_t iterations_ = 0;
@@ -1775,6 +1681,11 @@ class Simplex {
   // Primal: column refused as entering until the next committed pivot
   // (its pivot on fresh factors made the basis singular), or SIZE_MAX.
   std::size_t banned_ = SIZE_MAX;
+  // Per-phase loop state, reset by run_phase: pivots since the last
+  // factorization (0 right after one), the phase objective at the last
+  // improvement, and the stall counter with its Bland-mode switch.
+  std::size_t pivots_since_refactor_ = 0;
+  double last_objective_ = 0;
   std::size_t stall_count_ = 0;
   bool bland_ = false;
   double rhs_scale_ = 0;

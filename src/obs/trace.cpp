@@ -34,6 +34,7 @@ struct Tracer::Impl {
     std::mutex mutex;
     std::uint32_t thread = 0;
     std::vector<SpanRecord> open;  // innermost span is the back
+    std::uint64_t adopted_parent = 0;  // parent of a span opened at depth 0
     std::vector<SpanRecord> done;
     std::vector<SampleRecord> samples;
   };
@@ -274,7 +275,9 @@ Span::Span(const char* name) {
   index_ = shard.open.size();
   SpanRecord record;
   record.id = impl.next_id.fetch_add(1, std::memory_order_relaxed);
-  record.parent = shard.open.empty() ? 0 : shard.open.back().id;
+  id_ = record.id;
+  record.parent =
+      shard.open.empty() ? shard.adopted_parent : shard.open.back().id;
   record.name = name;
   record.thread = shard.thread;
   record.start_s = impl.since_epoch();
@@ -291,6 +294,19 @@ Span::~Span() {
   record.duration_s = impl.since_epoch() - record.start_s;
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.done.push_back(std::move(record));
+}
+
+ParentScope::ParentScope(std::uint64_t parent) {
+  if (parent == 0) return;
+  auto& shard = Tracer::global().impl_->local_shard();
+  shard_ = &shard;
+  previous_ = shard.adopted_parent;
+  shard.adopted_parent = parent;
+}
+
+ParentScope::~ParentScope() {
+  if (shard_ == nullptr) return;
+  static_cast<Tracer::Impl::Shard*>(shard_)->adopted_parent = previous_;
 }
 
 void Span::attr(const char* key, double value) {

@@ -1,7 +1,8 @@
 // Solver telemetry: scoped trace spans and timeline samples.
 //
 // A Span is an RAII scope: construction stamps a start time and links to
-// the innermost open span on the same thread (nesting), destruction stamps
+// the innermost open span on the same thread (nesting), or, with none open,
+// to the span a ParentScope names (fan-out to pools), destruction stamps
 // the duration and moves the finished record into the thread's buffer.
 // Numeric or string attributes can be attached while the span is open
 // (pivot counts, class names, ...). Samples are point-in-time series
@@ -98,6 +99,7 @@ class Tracer {
 
  private:
   friend class Span;
+  friend class ParentScope;
   struct Impl;
   Impl* impl_;
 };
@@ -112,6 +114,8 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   bool active() const { return active_; }
+  /// The span's record id (0 when inactive), for ParentScope.
+  std::uint64_t id() const { return id_; }
   /// Attach a numeric / string attribute (no-op when inactive).
   void attr(const char* key, double value);
   void label(const char* key, const std::string& value);
@@ -120,6 +124,24 @@ class Span {
   bool active_ = false;
   void* shard_ = nullptr;   // Tracer::Impl::Shard of the opening thread
   std::size_t index_ = 0;   // position in that shard's open-span stack
+  std::uint64_t id_ = 0;
+};
+
+/// RAII: while alive, a span the calling thread opens with no span of its
+/// own open takes `parent` (a Span::id(), usually from another thread) as
+/// its parent instead of becoming a root. Work fanned out to a thread pool
+/// opens one at the top of each task, so its spans stay under the span
+/// that fanned it out. A parent of 0 (tracing off) changes nothing.
+class ParentScope {
+ public:
+  explicit ParentScope(std::uint64_t parent);
+  ~ParentScope();
+  ParentScope(const ParentScope&) = delete;
+  ParentScope& operator=(const ParentScope&) = delete;
+
+ private:
+  void* shard_ = nullptr;   // Tracer::Impl::Shard of the calling thread
+  std::uint64_t previous_ = 0;
 };
 
 #define WANPLACE_OBS_CONCAT2(a, b) a##b

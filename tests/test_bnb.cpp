@@ -53,22 +53,39 @@ TEST(Bnb, MatchesExhaustiveUnderClassConstraints) {
   }
 }
 
+// Instances small enough for B&B to prove optimality in a fraction of a
+// second, so the upper half of the sandwich is always checked. The first
+// two have strict gaps on both sides (LP 11.93 < 12 < 13 rounded, and
+// 10.31 < 13 < 14); on the third, rounding finds the optimum
+// (9.19 < 10 = 10).
 TEST(Bnb, SandwichedBetweenLpAndRounding) {
-  for (std::uint64_t seed : {2u, 12u, 22u}) {
-    const auto instance = random_instance(seed, 5, 3, 4, 0.85, 300);
+  struct Case {
+    std::uint64_t seed;
+    std::size_t nodes, intervals, objects, requests;
+    bool strict;
+  };
+  for (const Case c : {Case{18, 4, 3, 4, 300, true},
+                       Case{13, 5, 2, 3, 200, true},
+                       Case{11, 5, 2, 4, 300, false}}) {
+    const auto instance = random_instance(c.seed, c.nodes, c.intervals,
+                                          c.objects, 0.85, c.requests);
     const auto spec = mcperf::classes::general();
 
     BoundOptions options;
     options.solver = BoundOptions::Solver::Simplex;
     const auto detail = compute_bound_detail(instance, spec, options);
-    if (!detail.bound.achievable) continue;
+    ASSERT_TRUE(detail.bound.achievable) << "seed " << c.seed;
+    ASSERT_TRUE(detail.bound.rounded_feasible) << "seed " << c.seed;
 
     const auto bnb = solve_branch_and_bound(instance, spec);
-    ASSERT_TRUE(bnb.feasible) << "seed " << seed;
-    EXPECT_GE(bnb.cost, detail.bound.lower_bound - 1e-6) << "seed " << seed;
-    if (detail.bound.rounded_feasible && bnb.proven_optimal) {
-      EXPECT_LE(bnb.cost, detail.bound.rounded_cost + 1e-6)
-          << "seed " << seed;
+    ASSERT_TRUE(bnb.feasible) << "seed " << c.seed;
+    ASSERT_TRUE(bnb.proven_optimal) << "seed " << c.seed;
+    EXPECT_GE(bnb.cost, detail.bound.lower_bound - 1e-6) << "seed " << c.seed;
+    EXPECT_LE(bnb.cost, detail.bound.rounded_cost + 1e-6) << "seed " << c.seed;
+    if (c.strict) {
+      EXPECT_GT(bnb.cost, detail.bound.lower_bound + 1e-6) << "seed " << c.seed;
+      EXPECT_LT(bnb.cost, detail.bound.rounded_cost - 1e-6)
+          << "seed " << c.seed;
     }
   }
 }

@@ -49,6 +49,24 @@ SparseMatrix model_matrix(std::size_t rows, std::size_t cols,
   return model.matrix();
 }
 
+/// Run `fn` with the metrics registry on; return what it recorded.
+template <typename Fn>
+obs::Snapshot metrics_during(Fn&& fn) {
+  obs::Registry::global().enable(true);
+  obs::Registry::global().reset();
+  fn();
+  auto snapshot = obs::Registry::global().snapshot();
+  obs::Registry::global().enable(false);
+  obs::Registry::global().reset();
+  return snapshot;
+}
+
+/// Sum of metric `name` in `snapshot`; 0 when it never fired.
+double metric_sum(const obs::Snapshot& snapshot, const char* name) {
+  const auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0.0 : it->second.sum;
+}
+
 TEST(Sparse, MultiplyAndTranspose) {
   // [1 2 0]
   // [0 0 3]
@@ -926,14 +944,25 @@ LpModel beale_cycling_lp() {
 }
 
 TEST(SimplexDegenerate, BealeSolvedUnderImmediateBlandRule) {
-  // Force Bland's rule from the first degenerate pivot: the lowest-index
-  // tie-break makes every pivot sequence finite regardless of degeneracy.
+  // Force Bland's rule from the first non-improving pivot (stall_limit 0):
+  // the lowest-index tie-break makes every pivot sequence finite regardless
+  // of degeneracy. Under Method::Dual the cold slack basis is already primal
+  // feasible, so the switch happens in the primal cleanup of the shifted
+  // costs.
   const auto model = beale_cycling_lp();
-  SimplexOptions options;
-  options.stall_limit = 1;
-  const auto sol = solve_simplex(model, options);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sol.objective, -0.05, 1e-9);
+  for (const auto method :
+       {SimplexOptions::Method::Primal, SimplexOptions::Method::Dual}) {
+    SimplexOptions options;
+    options.method = method;
+    options.stall_limit = 0;
+    LpSolution sol;
+    const auto snapshot =
+        metrics_during([&] { sol = solve_simplex(model, options); });
+    ASSERT_EQ(sol.status, SolveStatus::Optimal);
+    EXPECT_TRUE(test::certify_optimal(model, sol));
+    EXPECT_NEAR(sol.objective, -0.05, 1e-9);
+    EXPECT_GE(metric_sum(snapshot, "simplex.refactor.bland"), 1.0);
+  }
 }
 
 TEST(SimplexDegenerate, TinyRefactorPeriodStaysExact) {
@@ -1392,6 +1421,107 @@ TEST(SimplexDual, WarmImportOutcomesAreCounted) {
             count("simplex.warm.accepted") + count("simplex.warm.shape") +
                 count("simplex.warm.singular") +
                 count("simplex.warm.infeasible"));
+}
+
+// ---------------------------------------------------------------------------
+// The dual loop's recovery paths: the pre-pivot stability guards, the
+// post-pivot singular rollback and the stall -> Bland -> cold-primal abort.
+// Each solve must still end in a certified answer.
+
+TEST(SimplexDualRecovery, DriftGuardRetriesWarmPivotsOnFreshFactors) {
+  // lu_stability_tolerance 0.9 treats nearly every pivot under a non-empty
+  // update file as drift, so the warm dual re-solve of a tightened model
+  // refactorizes and retries mid-loop. No cost is shifted, so every retry
+  // happens in the dual loop itself, not in a primal cleanup.
+  for (const int seed : {3, 14}) {
+    Rng rng(4100 + seed);
+    auto lp = random_feasible_lp(rng, 14, 12, /*with_equalities=*/false);
+    const auto first = solve_simplex(lp.model);
+    ASSERT_EQ(first.status, SolveStatus::Optimal) << "seed " << seed;
+    for (std::size_t j = 0; j < lp.model.variable_count(); j += 2)
+      lp.model.set_bounds(j, 0, 0.3 * lp.model.upper(j));
+    const auto cold = solve_simplex(lp.model);
+    SimplexOptions options;
+    options.method = SimplexOptions::Method::Dual;
+    options.warm_start = &first.basis;
+    options.lu_stability_tolerance = 0.9;
+    LpSolution sol;
+    const auto snapshot =
+        metrics_during([&] { sol = solve_simplex(lp.model, options); });
+    ASSERT_EQ(sol.status, SolveStatus::Optimal) << "seed " << seed;
+    EXPECT_TRUE(test::certify_optimal(lp.model, sol)) << "seed " << seed;
+    EXPECT_NEAR(sol.objective, cold.objective, 1e-9) << "seed " << seed;
+    EXPECT_GE(metric_sum(snapshot, "simplex.refactor.drift"), 1.0)
+        << "seed " << seed;
+    EXPECT_EQ(metric_sum(snapshot, "simplex.dual.cost_shifts"), 0.0)
+        << "seed " << seed;
+    EXPECT_EQ(metric_sum(snapshot, "simplex.dual.fallbacks"), 0.0)
+        << "seed " << seed;
+  }
+}
+
+// The dual twin of Simplex.SingularBasisAtCertifyRollsBack. The columns are
+// boxed, so the cold dual start flips both to their upper bounds and the
+// rows turn primal infeasible; the dual then pivots b (1e4) and a (5e-9)
+// into the basis, which the LU calls singular. By default the drift guard
+// retries a's pivot on fresh factors first. With the guard off and refactor
+// period 2, a's pivot is committed under an update file, the period
+// refactorization finds the basis singular, and the pivot is rolled back.
+// Either way a verifying factorization later finds a's pivot, chosen on
+// fresh factors, breaking the basis itself, and the dual hands the model
+// to the cold primal.
+TEST(SimplexDualRecovery, SingularPivotRollsBackThenFallsBackToPrimal) {
+  LpModel model;
+  const auto a = model.add_variable(0, 1e8, -1);
+  const auto b = model.add_variable(0, 10, -1);
+  model.add_row(RowType::Le, 5e-9, {a}, {5e-9});
+  model.add_row(RowType::Le, 1e4, {b}, {1e4});
+  for (const std::size_t period : {std::size_t{0}, std::size_t{2}}) {
+    SimplexOptions options;
+    options.method = SimplexOptions::Method::Dual;
+    options.refactor_period = period;
+    if (period == 2) options.lu_stability_tolerance = 0;
+    LpSolution sol;
+    const auto snapshot =
+        metrics_during([&] { sol = solve_simplex(model, options); });
+    EXPECT_NE(sol.status, SolveStatus::Infeasible) << "period " << period;
+    EXPECT_LE(sol.dual_bound, -2 + 1e-9) << "period " << period;
+    EXPECT_LE(model.max_violation(sol.x), 1e-9) << "period " << period;
+    EXPECT_EQ(metric_sum(snapshot, "simplex.dual.fallbacks"), 1.0)
+        << "period " << period;
+    EXPECT_GE(metric_sum(snapshot, "simplex.refactor.singular_rollback"), 2.0)
+        << "period " << period;
+    EXPECT_GE(metric_sum(snapshot, "simplex.refactor.verify"), 1.0)
+        << "period " << period;
+    if (period == 2) {
+      EXPECT_GE(metric_sum(snapshot, "simplex.refactor.period"), 1.0);
+    }
+  }
+}
+
+TEST(SimplexDualRecovery, StallOutlastingBlandModeFallsBackToPrimal) {
+  // Every cost is zero, so each dual pivot is dual degenerate and the dual
+  // objective never moves. With stall_limit 0 the first pivot switches to
+  // Bland mode and the second outlasts it (8 x stall_limit pivots): the
+  // dual aborts and the cold primal answers.
+  LpModel model;
+  const auto a = model.add_variable(0, kInfinity, 0);
+  const auto b = model.add_variable(0, kInfinity, 0);
+  const auto c = model.add_variable(0, kInfinity, 0);
+  model.add_row(RowType::Ge, 1, {a, b}, {1, 1});
+  model.add_row(RowType::Ge, 1, {b, c}, {1, 1});
+  model.add_row(RowType::Ge, 1, {a, c}, {1, 1});
+  SimplexOptions options;
+  options.method = SimplexOptions::Method::Dual;
+  options.stall_limit = 0;
+  LpSolution sol;
+  const auto snapshot =
+      metrics_during([&] { sol = solve_simplex(model, options); });
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_TRUE(test::certify_optimal(model, sol));
+  EXPECT_EQ(sol.objective, 0.0);
+  EXPECT_EQ(metric_sum(snapshot, "simplex.dual.fallbacks"), 1.0);
+  EXPECT_GE(metric_sum(snapshot, "simplex.refactor.bland"), 1.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bounds/engine.h"
@@ -140,6 +141,7 @@ TEST(ObsTrace, DisabledSpanIsInactive) {
   ASSERT_FALSE(obs::trace_enabled());
   obs::Span span("nothing");
   EXPECT_FALSE(span.active());
+  EXPECT_EQ(span.id(), 0u);
   span.attr("ignored", 1);  // must be safe while inactive
   EXPECT_TRUE(obs::Tracer::global().spans().empty());
 }
@@ -179,6 +181,60 @@ TEST(ObsTrace, SpanNestingLinksParentsAndAttrs) {
   EXPECT_EQ(inner.labels[0].second, "caching");
   EXPECT_GE(inner.start_s, outer.start_s);
   EXPECT_GE(outer.duration_s, inner.duration_s);
+}
+
+TEST(ObsTrace, ParentScopeAdoptsACrossThreadParent) {
+  TelemetryScope scope;
+  std::uint64_t fan_out_id = 0;
+  {
+    obs::Span fan_out("fan_out");
+    fan_out_id = fan_out.id();
+    std::thread worker([&] {
+      const obs::ParentScope adopt(fan_out.id());
+      obs::Span task("task");
+      WANPLACE_SPAN("leaf");  // nests under the worker's own open span
+    });
+    worker.join();
+    std::thread stray([] { WANPLACE_SPAN("stray"); });
+    stray.join();
+  }
+  const auto spans = obs::Tracer::global().spans();
+  ASSERT_EQ(spans.size(), 4u);
+  ASSERT_NE(fan_out_id, 0u);
+  const auto parent_of = [&](const std::string& name) {
+    for (const auto& span : spans)
+      if (span.name == name) return span.parent;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(parent_of("task"), fan_out_id);
+  EXPECT_NE(parent_of("leaf"), fan_out_id);
+  EXPECT_NE(parent_of("leaf"), 0u);
+  EXPECT_EQ(parent_of("stray"), 0u);
+}
+
+// Every per-class `bound` span of a select nests under its `selector` span,
+// whichever thread of the fan-out solved the class.
+TEST(ObsTrace, SelectorFanOutKeepsBoundSpansUnderSelector) {
+  const auto instance = test::random_instance(3);
+  for (const std::size_t parallelism : {std::size_t{2}, std::size_t{4}}) {
+    TelemetryScope scope;
+    core::SelectorOptions options;
+    options.parallelism = parallelism;
+    const auto report = core::HeuristicSelector(options).select(instance);
+    const auto spans = obs::Tracer::global().spans();
+    std::uint64_t selector = 0;
+    for (const auto& span : spans)
+      if (span.name == "selector") selector = span.id;
+    ASSERT_NE(selector, 0u) << "parallelism " << parallelism;
+    std::size_t bounds = 0;
+    for (const auto& span : spans) {
+      if (span.name != "bound") continue;
+      ++bounds;
+      EXPECT_EQ(span.parent, selector) << "parallelism " << parallelism;
+    }
+    EXPECT_EQ(bounds, 1 + report.classes.size())
+        << "parallelism " << parallelism;
+  }
 }
 
 TEST(ObsTrace, JsonlMatchesSchema) {

@@ -25,8 +25,11 @@ must carry a numeric "event" attr (the monotonic event index) and a string
 service.resolve / service.audit / service.policy) must have a
 `service.event` ancestor, so per-stage latency is always attributable to
 one event. A `service.event` span has at most one child of each stage
-name: every stage is timed once per event. Exits 1 with a message on the
-first violation.
+name: every stage is timed once per event. Every `bound` span that starts
+inside a `selector` span's time window must have that `selector` as an
+ancestor, whichever thread of the class fan-out recorded it, so a
+selection's per-class bounds are always attributable to it. Exits 1 with a
+message on the first violation.
 """
 
 import argparse
@@ -71,11 +74,30 @@ def check_span(lineno, obj, span_ids):
         fail(lineno, f"span parent {obj['parent']} not seen before child")
 
 
+def has_ancestor(span_id, ancestor_id, parent_by_id):
+    while span_id != 0:
+        span_id = parent_by_id.get(span_id, 0)
+        if span_id == ancestor_id:
+            return True
+    return False
+
+
 def check_span_causality(lineno, obj, name_by_id, parent_by_id,
-                         event_stages):
+                         event_stages, selector_windows):
     """Schema v2: daemon spans carry event identity, stage spans nest under
-    a service.event ancestor, and no event times a stage twice."""
+    a service.event ancestor, no event times a stage twice, and bound spans
+    of a selector fan-out nest under their selector."""
     name = obj["name"]
+    if (name == "selector" and obj["start_s"] is not None and
+            obj["dur_s"] is not None):
+        selector_windows.append(
+            (obj["id"], obj["start_s"], obj["start_s"] + obj["dur_s"]))
+    if name == "bound" and obj["start_s"] is not None:
+        for selector, start, end in selector_windows:
+            if (start <= obj["start_s"] <= end and
+                    not has_ancestor(obj["id"], selector, parent_by_id)):
+                fail(lineno, f"bound span {obj['id']} starts inside selector "
+                             f"span {selector} but is not nested under it")
     if name == "service.event":
         attrs = obj["attrs"]
         if not is_number(attrs.get("event")) or attrs.get("event") is None:
@@ -138,6 +160,7 @@ def main():
     name_by_id = {}
     parent_by_id = {}
     event_stages = set()  # (service.event id, stage name) pairs seen
+    selector_windows = []  # (id, start_s, end_s) of every selector span
     spans = samples = 0
     with open(args.trace, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -171,7 +194,8 @@ def main():
                 parent_by_id[obj["id"]] = obj["parent"]
                 if version >= 2:
                     check_span_causality(lineno, obj, name_by_id,
-                                         parent_by_id, event_stages)
+                                         parent_by_id, event_stages,
+                                         selector_windows)
                 spans += 1
             elif kind == "sample":
                 check_sample(lineno, obj)
