@@ -1,22 +1,22 @@
-// End-to-end wall time of the commands a user runs, at a chosen solver
-// parallelism: `select` and `plan` on the WEB case study at the measured
-// point (8 nodes, 8 intervals, 60 objects, 16,000 reads; Tlat 150 ms), and
-// `select` on a topology + trace pair such as the default `wanplace_cli
-// gen-example` output. One JSON line per run: workload, parallelism, wall
-// seconds, and the per-class bounds with the solver that produced them.
+// End-to-end wall time of the commands a user runs: `select` and `plan` on
+// the WEB case study at the measured point (8 nodes, 8 intervals, 60
+// objects, 16,000 reads; Tlat 150 ms), and `select` on a topology + trace
+// pair such as the default `wanplace_cli gen-example` output. One JSON line
+// per run: workload, the selector's parallelism (select workloads only),
+// wall seconds, and the per-class bounds with the solver that produced them.
 //
 //   end_to_end select-q99 <parallelism> [repeats]
-//   end_to_end plan <parallelism> [repeats]
+//   end_to_end plan [repeats]
 //   end_to_end select-files <parallelism> <topology> <trace> [repeats]
 //
-// select-q99 and select-files fan the classes out `parallelism` wide with
-// serial solves when it is above 1 (SelectorOptions::parallelism). plan
-// sets the bound engine's parallelism (PlannerOptions::bounds), which
-// only PDHG's matvecs use; its phase-2 selection fans out over the
-// hardware threads either way.
+// select-q99 and select-files fan the classes out `parallelism` wide
+// (SelectorOptions::parallelism); every solve runs on the thread that takes
+// its class. plan takes no parallelism: its phase-2 selection fans out over
+// the hardware threads.
 // select-files builds the instance as the CLI does with its defaults:
 // tqos 0.99, 24 intervals, per-user scope, origin 0.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "core/case_study.h"
@@ -78,16 +78,19 @@ std::string bounds_json(const core::SelectionReport& report) {
 int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "";
   const bool files = workload == "select-files";
-  if (argc < (files ? 5 : 3) ||
-      (!files && workload != "select-q99" && workload != "plan")) {
+  const bool plan = workload == "plan";
+  if (argc < (files ? 5 : plan ? 2 : 3) ||
+      (!files && !plan && workload != "select-q99")) {
     std::fprintf(stderr,
-                 "usage: end_to_end select-q99|plan <parallelism> [repeats]\n"
+                 "usage: end_to_end select-q99 <parallelism> [repeats]\n"
+                 "       end_to_end plan [repeats]\n"
                  "       end_to_end select-files <parallelism> <topology> "
                  "<trace> [repeats]\n");
     return 2;
   }
-  const auto parallelism = parse_integer<std::size_t>(argv[2]);
-  const int repeat_arg = files ? 5 : 3;
+  const auto parallelism =
+      plan ? std::optional<std::size_t>(1) : parse_integer<std::size_t>(argv[2]);
+  const int repeat_arg = files ? 5 : plan ? 2 : 3;
   const auto repeats =
       argc > repeat_arg ? parse_integer<int>(argv[repeat_arg]) : 1;
   if (!parallelism || !repeats) {
@@ -100,17 +103,15 @@ int main(int argc, char** argv) {
   for (int r = 0; r < *repeats; ++r) {
     Stopwatch watch;
     std::string detail;
-    if (workload == "plan") {
-      core::PlannerOptions options;
-      options.bounds.parallelism = *parallelism;
-      const auto plan = core::DeploymentPlanner(options).plan(instance);
+    if (plan) {
+      const auto result = core::DeploymentPlanner().plan(instance);
       detail = "\"open\": [";
-      for (std::size_t i = 0; i < plan.open_nodes.size(); ++i)
-        detail += (i ? ", " : "") + std::to_string(plan.open_nodes[i]);
+      for (std::size_t i = 0; i < result.open_nodes.size(); ++i)
+        detail += (i ? ", " : "") + std::to_string(result.open_nodes[i]);
       char bounds[128];
       std::snprintf(bounds, sizeof bounds,
                     "], \"phase1\": %.6f, \"phase2\": %.6f",
-                    plan.phase1_lower_bound, plan.phase2_lower_bound);
+                    result.phase1_lower_bound, result.phase2_lower_bound);
       detail += bounds;
     } else {
       core::SelectorOptions options;
@@ -118,9 +119,10 @@ int main(int argc, char** argv) {
       detail = "\"bounds\": " +
                bounds_json(core::HeuristicSelector(options).select(instance));
     }
-    std::printf("{\"workload\": \"%s\", \"parallelism\": %zu, "
-                "\"wall_s\": %.3f, %s}\n",
-                workload.c_str(), *parallelism, watch.elapsed_seconds(),
+    const std::string width =
+        plan ? "" : ", \"parallelism\": " + std::to_string(*parallelism);
+    std::printf("{\"workload\": \"%s\"%s, \"wall_s\": %.3f, %s}\n",
+                workload.c_str(), width.c_str(), watch.elapsed_seconds(),
                 detail.c_str());
     std::fflush(stdout);
   }

@@ -221,7 +221,6 @@ LpRun solve_lp(const mcperf::Instance& instance, const lp::LpModel& model,
   lp::PdhgOptions pdhg = options.pdhg;
   if (pdhg.infeasibility_threshold == lp::kInfinity)
     pdhg.infeasibility_threshold = 2 * instance.max_possible_cost() + 1;
-  pdhg.parallelism = options.parallelism;
   pdhg.max_iterations =
       std::min(pdhg.max_iterations, affordable(kPdhgWorkBudget));
   run.solution = lp::solve_pdhg(model, pdhg);

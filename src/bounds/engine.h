@@ -26,11 +26,9 @@ struct BoundOptions {
   lp::PdhgOptions pdhg;
   RoundingOptions rounding;
   bool run_rounding = true;
-  /// Worker threads for PDHG's matvec pair (forced PDHG, or Auto's
-  /// fallback): 0 = hardware concurrency, 1 = fully serial. Purely a
-  /// wall-clock knob — bounds are bit-identical for every value (see
-  /// PdhgOptions::parallelism). The simplex always runs on the calling
-  /// thread.
+  /// Ignored: every solver runs on the calling thread. Kept only because
+  /// perfbench/src/serve.cpp and perfbench/src/select.cpp set it, and
+  /// perfbench/ may not change outside a change to the benchmark.
   std::size_t parallelism = 0;
 
   /// Warm start for a re-solve of a model with the same shape: the

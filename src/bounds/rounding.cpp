@@ -21,12 +21,15 @@ using mcperf::Instance;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// LP values within this distance of 0/1 are snapped before rounding.
+constexpr double kSnapTolerance = 1e-5;
+
 /// Shared state for both rounding strategies.
 class Rounder {
  public:
   Rounder(const Instance& instance, const ClassSpec& spec,
           const BuiltModel& built, const std::vector<double>& x,
-          double snap_tolerance)
+          double snap)
       : instance_(instance),
         spec_(spec),
         built_(built),
@@ -52,8 +55,8 @@ class Rounder {
         for (std::size_t k = 0; k < k_count_; ++k) {
           double v = origin ? 1.0
                             : x[static_cast<std::size_t>(built.store(n, i, k))];
-          if (v < snap_tolerance) v = 0;
-          if (v > 1 - snap_tolerance) v = 1;
+          if (v < snap) v = 0;
+          if (v > 1 - snap) v = 1;
           value_(n, i, k) = v;
         }
     }
@@ -325,7 +328,7 @@ RoundingResult round_solution_impl(const Instance& instance,
                                    const RoundingOptions& options) {
   WANPLACE_REQUIRE(x.size() == built.model.variable_count(),
                    "solution arity mismatch");
-  Rounder state(instance, spec, built, x, options.snap_tolerance);
+  Rounder state(instance, spec, built, x, kSnapTolerance);
   RoundingResult result;
 
   // --- round-up phase: cover demand until the goal holds ------------------
@@ -386,56 +389,54 @@ RoundingResult round_solution_impl(const Instance& instance,
   }
 
   // --- drop pass: remove redundant integral stores -------------------------
-  if (options.drop_pass) {
-    bool changed = true;
-    std::size_t guard = 0;
-    const std::size_t guard_limit =
-        4 * instance.node_count() * instance.interval_count() *
-        instance.object_count();
-    while (changed && guard++ < guard_limit) {
-      changed = false;
-      // Preference order per Figure 5: a zero-reward drop with positive
-      // saving first; otherwise the permissible drop with the best
-      // saving-per-lost-reward ratio.
-      double best_free_saving = 1e-12;
-      double best_ratio = 1e-12;
-      bool have_free = false, have_ratio = false;
-      std::array<std::size_t, 3> best_free{}, best_ratio_cell{};
-      for (std::size_t m = 0; m < instance.node_count(); ++m) {
-        if (instance.is_origin(m)) continue;
-        for (std::size_t i = 0; i < instance.interval_count(); ++i)
-          for (std::size_t k = 0; k < instance.object_count(); ++k) {
-            if (state.value_(m, i, k) != 1.0) continue;
-            if (!state.drop_keeps_create_valid(m, i, k)) continue;
-            const double saving = -state.cost_down(m, i, k);
-            if (saving <= 0) continue;
-            const double reward = state.reward_down(m, i, k);
-            if (reward == 0) {
-              if (saving > best_free_saving) {
-                best_free_saving = saving;
-                best_free = {m, i, k};
-                have_free = true;
-              }
-            } else if (state.drop_keeps_goal(m, i, k)) {
-              const double ratio = saving / reward;
-              if (ratio > best_ratio) {
-                best_ratio = ratio;
-                best_ratio_cell = {m, i, k};
-                have_ratio = true;
-              }
+  bool changed = true;
+  std::size_t guard = 0;
+  const std::size_t guard_limit =
+      4 * instance.node_count() * instance.interval_count() *
+      instance.object_count();
+  while (changed && guard++ < guard_limit) {
+    changed = false;
+    // Preference order per Figure 5: a zero-reward drop with positive
+    // saving first; otherwise the permissible drop with the best
+    // saving-per-lost-reward ratio.
+    double best_free_saving = 1e-12;
+    double best_ratio = 1e-12;
+    bool have_free = false, have_ratio = false;
+    std::array<std::size_t, 3> best_free{}, best_ratio_cell{};
+    for (std::size_t m = 0; m < instance.node_count(); ++m) {
+      if (instance.is_origin(m)) continue;
+      for (std::size_t i = 0; i < instance.interval_count(); ++i)
+        for (std::size_t k = 0; k < instance.object_count(); ++k) {
+          if (state.value_(m, i, k) != 1.0) continue;
+          if (!state.drop_keeps_create_valid(m, i, k)) continue;
+          const double saving = -state.cost_down(m, i, k);
+          if (saving <= 0) continue;
+          const double reward = state.reward_down(m, i, k);
+          if (reward == 0) {
+            if (saving > best_free_saving) {
+              best_free_saving = saving;
+              best_free = {m, i, k};
+              have_free = true;
+            }
+          } else if (state.drop_keeps_goal(m, i, k)) {
+            const double ratio = saving / reward;
+            if (ratio > best_ratio) {
+              best_ratio = ratio;
+              best_ratio_cell = {m, i, k};
+              have_ratio = true;
             }
           }
-      }
-      if (have_free) {
-        state.apply(best_free[0], best_free[1], best_free[2], 0.0);
-        ++result.round_downs;
-        changed = true;
-      } else if (have_ratio) {
-        state.apply(best_ratio_cell[0], best_ratio_cell[1],
-                    best_ratio_cell[2], 0.0);
-        ++result.round_downs;
-        changed = true;
-      }
+        }
+    }
+    if (have_free) {
+      state.apply(best_free[0], best_free[1], best_free[2], 0.0);
+      ++result.round_downs;
+      changed = true;
+    } else if (have_ratio) {
+      state.apply(best_ratio_cell[0], best_ratio_cell[1],
+                  best_ratio_cell[2], 0.0);
+      ++result.round_downs;
+      changed = true;
     }
   }
 
@@ -445,8 +446,7 @@ RoundingResult round_solution_impl(const Instance& instance,
   // but only if EVERY peak-loaded (node, interval) can give up a cell
   // without breaking the goal. Tentative; rolled back when the full level
   // cannot be cleared or does not pay for its re-creation penalties.
-  if (options.drop_pass && spec.storage &&
-      *spec.storage == mcperf::StorageConstraint::PerSystem) {
+  if (spec.storage && *spec.storage == mcperf::StorageConstraint::PerSystem) {
     const std::size_t n_count = instance.node_count();
     const std::size_t i_count = instance.interval_count();
     const std::size_t k_count = instance.object_count();

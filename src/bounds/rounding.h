@@ -24,10 +24,6 @@
 namespace wanplace::bounds {
 
 struct RoundingOptions {
-  /// Values within this distance of 0/1 are snapped before rounding.
-  double snap_tolerance = 1e-5;
-  /// Run the redundancy-elimination (round-down) pass.
-  bool drop_pass = true;
   /// Round maximal constant-value interval runs as one unit (the Appendix C
   /// speed optimization: "over an order of magnitude faster, < 5% cost").
   bool batch_runs = false;

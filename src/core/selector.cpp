@@ -96,15 +96,9 @@ SelectionReport HeuristicSelector::select(
   // The calling thread takes slots too, next to `helpers` pool workers; at
   // parallelism 1 it solves every slot in order on its own. Solving on the
   // caller also reuses its allocator arena: a workers-only fan-out measured
-  // ~2 MB more peak RSS on the case study at tqos 0.99. PDHG's matvec
-  // parallelism is disabled when solving concurrently and capped at the
-  // selector's parallelism when solving serially, so the knob caps total
-  // concurrency.
+  // ~2 MB more peak RSS on the case study at tqos 0.99. Every solve runs
+  // on the thread that drains its slot, so the knob caps total concurrency.
   const std::size_t helpers = std::min(parallelism, slots) - 1;
-  bounds::BoundOptions bound_options = options_.bounds;
-  const std::size_t matvec_cap = helpers > 0 ? 1 : parallelism;
-  if (bound_options.parallelism == 0 || bound_options.parallelism > matvec_cap)
-    bound_options.parallelism = matvec_cap;
   std::atomic<std::size_t> next{0};
   const auto drain = [&] {
     // A pool worker has no span of its own open: its slots' spans nest
@@ -112,7 +106,7 @@ SelectionReport HeuristicSelector::select(
     const obs::ParentScope fan_out(span.id());
     for (std::size_t slot = next++; slot < slots; slot = next++)
       details[slot] =
-          bounds::compute_bound_detail(instance, spec(slot), bound_options);
+          bounds::compute_bound_detail(instance, spec(slot), options_.bounds);
   };
   if (helpers == 0) {
     drain();

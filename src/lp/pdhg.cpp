@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "lp/scaling.h"
@@ -12,7 +11,6 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace wanplace::lp {
 
@@ -155,37 +153,6 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
   Canonical canon = canonicalize(model);
   const double norm = std::max(canon.matrix.spectral_norm_estimate(), 1e-12);
 
-  // Parallel matvec pair for large models: K x runs row-blocked on K, and
-  // K^T y runs row-blocked on a materialized transpose whose gather order
-  // (and zero-skipping) reproduces the serial scatter bit-for-bit. The
-  // knob therefore changes wall-clock only, never iterates or bounds.
-  const std::size_t parallelism =
-      options.parallelism == 0 ? util::ThreadPool::default_parallelism()
-                               : options.parallelism;
-  const bool use_pool = parallelism > 1 &&
-                        canon.matrix.nonzeros() >= options.parallel_nnz_threshold;
-  std::unique_ptr<util::ThreadPool> pool;
-  SparseMatrix transpose;
-  if (use_pool) {
-    pool = std::make_unique<util::ThreadPool>(parallelism);
-    transpose = canon.matrix.transposed();
-  }
-  auto apply_k = [&](const std::vector<double>& in,
-                     std::vector<double>& out_v) {
-    if (use_pool)
-      canon.matrix.multiply_blocked(in, out_v, *pool, parallelism);
-    else
-      canon.matrix.multiply(in, out_v);
-  };
-  auto apply_kt = [&](const std::vector<double>& in,
-                      std::vector<double>& out_v) {
-    if (use_pool)
-      transpose.multiply_blocked(in, out_v, *pool, parallelism,
-                                 /*skip_zero_inputs=*/true);
-    else
-      canon.matrix.multiply_transpose(in, out_v);
-  };
-
   // Primal weight: balances primal/dual step sizes (PDLP heuristic).
   double weight = 1.0;
   {
@@ -233,7 +200,7 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
   SolveStatus status = SolveStatus::IterationLimit;
   for (; iteration < options.max_iterations; ++iteration) {
     // x^{k+1} = clamp(x - tau (c - K^T y))
-    apply_kt(y, kty);
+    canon.matrix.multiply_transpose(y, kty);
     for (std::size_t j = 0; j < cols; ++j) {
       double next = x[j] - tau() * (canon.cost[j] - kty[j]);
       next = std::clamp(next, canon.lower[j], canon.upper[j]);
@@ -241,7 +208,7 @@ LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options) {
       x[j] = next;
     }
     // y^{k+1} = proj(y + sigma (q - K (2x^{k+1} - x^k)))
-    apply_k(extrapolated, kx);
+    canon.matrix.multiply(extrapolated, kx);
     for (std::size_t r = 0; r < rows; ++r) {
       double next = y[r] + sigma() * (canon.rhs[r] - kx[r]);
       if (!canon.is_eq[r]) next = std::max(0.0, next);

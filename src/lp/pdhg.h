@@ -29,13 +29,6 @@ struct PdhgOptions {
   /// (callers pass a known upper bound on any feasible objective;
   /// +infinity disables the check).
   double infeasibility_threshold = kInfinity;
-  /// Threads for the per-iteration matvec pair on large models: 0 = hardware
-  /// concurrency, 1 = fully serial. Any value produces bit-identical
-  /// iterates — blocks are fixed per row, so this is a pure wall-clock knob.
-  std::size_t parallelism = 0;
-  /// Only parallelize when the matrix has at least this many nonzeros;
-  /// below it the pool dispatch overhead outweighs the product.
-  std::size_t parallel_nnz_threshold = 65'536;
 };
 
 /// Solve min c^T x. On return:

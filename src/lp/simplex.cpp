@@ -115,10 +115,40 @@ class Simplex {
     set_phase_costs(/*phase1=*/true);
     if (run_phase(Phase::One) == SolveStatus::IterationLimit)
       return SolveStatus::IterationLimit;
-    if (phase_objective() > feasibility_tol()) return SolveStatus::Infeasible;
+    // Phase 1 stopped short of feasibility. Its pricing tolerance is not
+    // scaled to the columns, so only a dual bound proves infeasibility.
+    if (phase_objective() > feasibility_tol())
+      return phase1_dual_bound() > feasibility_tol()
+                 ? SolveStatus::Infeasible
+                 : SolveStatus::IterationLimit;
     pin_artificials();
     set_phase_costs(/*phase1=*/false);
     return run_phase(Phase::Two);
+  }
+
+  /// Weak-duality lower bound on the phase-1 objective (the least total
+  /// artificial infeasibility of any point) from the current phase-1
+  /// duals: y^T b plus every column's reduced cost at its cheaper bound. A
+  /// reduced cost within the pricing tolerance scaled by the column's
+  /// largest |entry| counts as zero; any other toward an infinite bound
+  /// makes the bound -infinity.
+  double phase1_dual_bound() const {
+    std::vector<double> y;
+    compute_duals(y);
+    double bound = 0;
+    for (std::size_t r = 0; r < m_; ++r) bound += y[r] * rhs_[r];
+    for (std::size_t j = 0; j < total_columns(); ++j) {
+      double d = cost_[j], scale = 0;
+      cols_.for_column(j, [&](std::size_t r, double v) {
+        d -= y[r] * v;
+        scale = std::max(scale, std::abs(v));
+      });
+      if (std::abs(d) <= options_.tolerance * scale) continue;
+      const double at = d > 0 ? lower_[j] : upper_[j];
+      if (!std::isfinite(at)) return -kInf;
+      bound += d * at;
+    }
+    return bound;
   }
 
   /// Pin every artificial to [0, 0]. Nonbasic artificials go to the bound;

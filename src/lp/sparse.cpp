@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace wanplace::lp {
 
@@ -69,34 +68,6 @@ SparseMatrix SparseMatrix::transposed() const {
     }
   }
   return out;
-}
-
-void SparseMatrix::multiply_blocked(const std::vector<double>& x,
-                                    std::vector<double>& out,
-                                    util::ThreadPool& pool,
-                                    std::size_t blocks,
-                                    bool skip_zero_inputs) const {
-  WANPLACE_REQUIRE(x.size() == cols_, "dimension mismatch in A*x");
-  out.resize(rows_);
-  blocks = std::max<std::size_t>(1, std::min(blocks, rows_));
-  const std::size_t chunk = (rows_ + blocks - 1) / blocks;
-  pool.parallel_for(blocks, [&](std::size_t block) {
-    const std::size_t begin = block * chunk;
-    const std::size_t end = std::min(rows_, begin + chunk);
-    for (std::size_t r = begin; r < end; ++r) {
-      double sum = 0;
-      if (skip_zero_inputs) {
-        for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i) {
-          const double xv = x[col_index_[i]];
-          if (xv != 0) sum += values_[i] * xv;
-        }
-      } else {
-        for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i)
-          sum += values_[i] * x[col_index_[i]];
-      }
-      out[r] = sum;
-    }
-  });
 }
 
 void SparseMatrix::scale(const std::vector<double>& row_factor,

@@ -5,22 +5,14 @@
 // column view the simplex walks (row j = column j of A), and
 // LpModel::matrix() is that view's counting transpose, giving the row view
 // PDHG scales and multiplies. Neither path sorts. The PDHG solver needs
-// only y += A x and x += A^T y products; both are provided without
-// materializing the transpose (a column-major pass over CSR). For large
-// models the solver materializes the transpose once (transposed()) and runs
-// both products as row-blocked gathers over a thread pool; every row's sum
-// is an independent sequential reduction, so the result is bit-identical
-// for any block or thread count.
+// only y += A x and x += A^T y products; both run on the caller's thread
+// without materializing the transpose (a column-major pass over CSR).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "util/check.h"
-
-namespace wanplace::util {
-class ThreadPool;
-}
 
 namespace wanplace::lp {
 
@@ -47,20 +39,8 @@ class SparseMatrix {
                           std::vector<double>& out) const;
 
   /// The transpose as a new CSR matrix. Entries within each transposed row
-  /// appear in ascending original-row order — the same accumulation order
-  /// multiply_transpose uses — so gather products over the transpose are
-  /// bit-identical to the scatter product over the original.
+  /// appear in ascending original-row order.
   SparseMatrix transposed() const;
-
-  /// out = A * x with rows partitioned into `blocks` contiguous chunks run
-  /// on `pool` (the caller executes one chunk). `skip_zero_inputs` skips
-  /// terms whose x entry is exactly zero, matching multiply_transpose's
-  /// row-skipping when A is a transposed() matrix. Row sums are independent
-  /// sequential reductions: identical results for any blocks/pool size.
-  void multiply_blocked(const std::vector<double>& x,
-                        std::vector<double>& out, util::ThreadPool& pool,
-                        std::size_t blocks,
-                        bool skip_zero_inputs = false) const;
 
   /// Dot product of row r with x — the hot kernel of the simplex pricing
   /// pass (alpha~_j = rho~ . A_j for every nonbasic column, every pivot,

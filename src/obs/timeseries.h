@@ -6,8 +6,8 @@
 // too, so the series and the daemon counters always agree on position).
 //
 // Each point separates *deterministic* values (costs, bounds, pivot counts,
-// regret — bit-identical at every `parallelism`, asserted by
-// ObsTimeSeries.DeterministicAcrossParallelism) from wall-clock stage
+// regret — bit-identical on every replay, asserted by
+// ObsTimeSeries.DeterministicAcrossReplays) from wall-clock stage
 // timings in `seconds` (diagnostics only). Memory is bounded by `capacity`:
 // once full, the oldest point is dropped and `dropped()` counts it, so a
 // daemon serving an unbounded event stream never grows without bound.

@@ -24,6 +24,9 @@ struct StageNames {
   const char* key;
 };
 
+/// Ring capacity of the per-event time series (memory bound).
+constexpr std::size_t kSeriesCapacity = 4096;
+
 enum Stage : std::size_t { kValidate, kPatch, kResolve, kAudit, kPolicy };
 
 /// Indexed by Stage; series points list the stages in this order.
@@ -61,7 +64,7 @@ PlacementDaemon::PlacementDaemon(mcperf::Instance instance,
                                  DaemonOptions options)
     : instance_(std::move(instance)),
       options_(std::move(options)),
-      series_(options_.series_capacity) {
+      series_(kSeriesCapacity) {
   WANPLACE_REQUIRE(std::holds_alternative<mcperf::QosGoal>(instance_.goal),
                    "PlacementDaemon requires a QoS-metric instance");
   if (options_.tlat_ms <= 0 && instance_.links)

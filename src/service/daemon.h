@@ -45,8 +45,6 @@ struct DaemonOptions {
   /// join/latency-update events re-threshold new edges against it. Must be
   /// positive when the event stream contains topology events.
   double tlat_ms = 0;
-  /// Ring capacity of the per-event time series (memory bound).
-  std::size_t series_capacity = 4096;
 };
 
 /// What one event did to the daemon, for replay logs and the golden tests.
@@ -132,7 +130,8 @@ class PlacementDaemon {
   std::size_t events_seen() const { return events_; }
   std::size_t publishes() const { return publishes_; }
 
-  /// Per-event time series (one point per start/event, rejected included).
+  /// Per-event time series (one point per start/event, rejected included;
+  /// a ring of the latest 4096).
   const obs::TimeSeries& series() const { return series_; }
   /// Health snapshot reflecting the last finished event.
   DaemonStatus status() const;

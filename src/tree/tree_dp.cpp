@@ -541,8 +541,7 @@ std::vector<std::size_t> node_depths(const mcperf::LinkModel& links) {
 }  // namespace
 
 TreeDpResult solve_tree_dp(const Instance& instance,
-                           const mcperf::ClassSpec& spec,
-                           const TreeDpOptions& options) {
+                           const mcperf::ClassSpec& spec) {
   instance.validate();
   check_applicable(instance, spec);
   const mcperf::LinkModel& links = *instance.links;
@@ -551,17 +550,15 @@ TreeDpResult solve_tree_dp(const Instance& instance,
   const double tlat = links.tlat_ms;
   const std::vector<std::size_t> depth = node_depths(links);
 
-  if (options.verify_dist) {
-    for (std::size_t n = 0; n < n_count; ++n)
-      for (std::size_t m = 0; m < n_count; ++m) {
-        const bool within =
-            path_latency(links, depth, static_cast<graph::NodeId>(n),
-                         static_cast<graph::NodeId>(m)) <= tlat;
-        WANPLACE_REQUIRE(within == (instance.dist(n, m) != 0),
-                         "instance.dist disagrees with the link-model path "
-                         "latencies");
-      }
-  }
+  for (std::size_t n = 0; n < n_count; ++n)
+    for (std::size_t m = 0; m < n_count; ++m) {
+      const bool within =
+          path_latency(links, depth, static_cast<graph::NodeId>(n),
+                       static_cast<graph::NodeId>(m)) <= tlat;
+      WANPLACE_REQUIRE(within == (instance.dist(n, m) != 0),
+                       "instance.dist disagrees with the link-model path "
+                       "latencies");
+    }
 
   ObjectView view;
   view.links = &links;

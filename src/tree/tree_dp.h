@@ -27,13 +27,6 @@
 
 namespace wanplace::tree {
 
-struct TreeDpOptions {
-  /// Cross-check instance.dist against the link-model path latencies (the
-  /// DP decides coverage from the links; a mismatched dist matrix would
-  /// silently certify a different problem than the LP solved).
-  bool verify_dist = true;
-};
-
 struct TreeDpResult {
   bool feasible = false;
   /// True integral optimum (0 when infeasible).
@@ -45,10 +38,12 @@ struct TreeDpResult {
 };
 
 /// Solve (instance, spec) exactly. REQUIREs the instance/spec to be inside
-/// the DP window documented above.
+/// the DP window documented above, and instance.dist to agree with the
+/// link-model path latencies (the DP decides coverage from the links; a
+/// mismatched dist matrix would silently certify a different problem than
+/// the LP solved).
 TreeDpResult solve_tree_dp(const mcperf::Instance& instance,
-                           const mcperf::ClassSpec& spec,
-                           const TreeDpOptions& options = {});
+                           const mcperf::ClassSpec& spec);
 
 /// Deterministic closest-routing audit of an integral placement: per
 /// (up-link, interval) read flow, whether every demand is served within

@@ -1,14 +1,13 @@
 // Fixed-size futures-based thread pool for the parallel bound engine.
 //
 // Deliberately simple — one shared queue, no work stealing: tasks here are
-// coarse (whole LP solves, simulation runs, matvec blocks), so queue
-// contention is negligible. Two rules keep it deadlock-free:
+// coarse (whole LP solves, simulation runs), so queue contention is
+// negligible. Two rules keep it deadlock-free:
 //
 //  1. Tasks submitted to the pool must never block on other pool tasks.
 //  2. parallel_for() degrades to serial execution when invoked from inside
-//     a pool worker, so accidental nesting (e.g. a parallel PDHG matvec
-//     inside a parallel per-class bound solve) serializes instead of
-//     deadlocking.
+//     a pool worker, so accidental nesting (e.g. a parallel sweep batch
+//     inside a pool task) serializes instead of deadlocking.
 //
 // Work is partitioned into fixed blocks independent of the worker count, so
 // any floating-point reduction an individual task performs is identical for

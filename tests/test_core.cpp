@@ -241,7 +241,6 @@ TEST(Selector, ClassBoundsEqualStandaloneSolves) {
   const auto instance = random_instance(61, 6, 4, 5, 0.9, 500);
   SelectorOptions options;
   options.bounds.solver = bounds::BoundOptions::Solver::Pdhg;
-  options.bounds.parallelism = 1;
   options.parallelism = 2;
   const auto report = HeuristicSelector(options).select(instance);
   const auto alone = [&](const mcperf::ClassSpec& spec) {

@@ -261,11 +261,11 @@ TEST(ObsExport, JsonlGoldenPin) {
 }
 
 // ---------------------------------------------------------------------------
-// Daemon series determinism across solver parallelism.
+// Daemon series determinism across replays.
 
-/// Replays a fixed drift script through the daemon at the given solver
-/// parallelism and returns the retained series points.
-std::vector<obs::SeriesPoint> replay_series(std::size_t parallelism) {
+/// Replays a fixed drift script through the daemon and returns the retained
+/// series points.
+std::vector<obs::SeriesPoint> replay_series() {
   auto instance = test::line_instance(4, 3, 3, 0.6);
   instance.costs.alpha = 1;
   instance.costs.beta = 2;
@@ -280,7 +280,6 @@ std::vector<obs::SeriesPoint> replay_series(std::size_t parallelism) {
   service::DaemonOptions options;
   options.spec = mcperf::classes::general();
   options.tlat_ms = 150;
-  options.bounds.parallelism = parallelism;
   service::PlacementDaemon daemon(std::move(instance), std::move(options));
   daemon.start();
   daemon.on_event(workload::DemandDeltaEvent{0, 1, 2, 3.0, 0.0});
@@ -294,25 +293,25 @@ std::vector<obs::SeriesPoint> replay_series(std::size_t parallelism) {
   return daemon.series().points();
 }
 
-TEST(ObsTimeSeries, DeterministicAcrossParallelism) {
-  const auto solo = replay_series(1);
-  const auto pooled = replay_series(2);
-  ASSERT_EQ(solo.size(), 8u);  // start + 7 events, rejected included
-  ASSERT_EQ(solo.size(), pooled.size());
+TEST(ObsTimeSeries, DeterministicAcrossReplays) {
+  const auto first = replay_series();
+  const auto second = replay_series();
+  ASSERT_EQ(first.size(), 8u);  // start + 7 events, rejected included
+  ASSERT_EQ(first.size(), second.size());
   bool saw_rejected = false;
-  for (std::size_t p = 0; p < solo.size(); ++p) {
-    EXPECT_EQ(solo[p].index, p);
-    EXPECT_EQ(solo[p].index, pooled[p].index);
-    EXPECT_EQ(solo[p].kind, pooled[p].kind);
-    EXPECT_EQ(solo[p].rejected, pooled[p].rejected);
-    saw_rejected |= solo[p].rejected;
-    // The deterministic half of the point must be BIT-identical at every
-    // parallelism (seconds are wall-clock and excluded by design).
-    ASSERT_EQ(solo[p].values.size(), pooled[p].values.size()) << p;
-    for (std::size_t v = 0; v < solo[p].values.size(); ++v) {
-      EXPECT_EQ(solo[p].values[v].first, pooled[p].values[v].first) << p;
-      EXPECT_EQ(solo[p].values[v].second, pooled[p].values[v].second)
-          << "point " << p << " value " << solo[p].values[v].first;
+  for (std::size_t p = 0; p < first.size(); ++p) {
+    EXPECT_EQ(first[p].index, p);
+    EXPECT_EQ(first[p].index, second[p].index);
+    EXPECT_EQ(first[p].kind, second[p].kind);
+    EXPECT_EQ(first[p].rejected, second[p].rejected);
+    saw_rejected |= first[p].rejected;
+    // The deterministic half of the point must be BIT-identical on every
+    // replay (seconds are wall-clock and excluded by design).
+    ASSERT_EQ(first[p].values.size(), second[p].values.size()) << p;
+    for (std::size_t v = 0; v < first[p].values.size(); ++v) {
+      EXPECT_EQ(first[p].values[v].first, second[p].values[v].first) << p;
+      EXPECT_EQ(first[p].values[v].second, second[p].values[v].second)
+          << "point " << p << " value " << first[p].values[v].first;
     }
   }
   EXPECT_TRUE(saw_rejected);

@@ -628,6 +628,27 @@ TEST(Simplex, ConflictingRowsInfeasible) {
   EXPECT_EQ(sol.status, SolveStatus::Infeasible);
 }
 
+// A feasible LP (a = 2e8, b = 1) on which phase 1 stops with the row-0
+// artificial at 1: column a's phase-1 reduced cost, -5e-9, is inside the
+// unscaled pricing tolerance. Phase 1's dual bound is -infinity (a has no
+// upper bound), so the solve may not call the LP infeasible; the dual
+// method reaches the same phase 1 through its cold-primal fallback.
+TEST(Simplex, TinyColumnScaleIsNotInfeasible) {
+  LpModel model;
+  const auto a = model.add_variable(0, kInfinity, 1);
+  const auto b = model.add_variable(0, kInfinity, 1);
+  model.add_row(RowType::Ge, 1, {a}, {5e-9});
+  model.add_row(RowType::Ge, 1e4, {b}, {1e4});
+  for (const auto method :
+       {SimplexOptions::Method::Primal, SimplexOptions::Method::Dual}) {
+    SimplexOptions options;
+    options.method = method;
+    const auto sol = solve_simplex(model, options);
+    EXPECT_NE(sol.status, SolveStatus::Infeasible);
+    EXPECT_LE(sol.dual_bound, 2e8 + 1);  // the optimum
+  }
+}
+
 TEST(Simplex, UnboundedDetected) {
   LpModel model;
   const auto x = model.add_variable(0, kInfinity, -1);

@@ -8,7 +8,6 @@
 #include "graph/reachability.h"
 #include "graph/shortest_paths.h"
 #include "instance_helpers.h"
-#include "lp/pdhg.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "util/rng.h"
@@ -156,47 +155,6 @@ TEST(ParallelSweep, ReplicaGreedyIdenticalAcrossParallelism) {
   const auto parallel = sim::sweep_replica_greedy(
       fix.trace, fix.latencies, fix.dist, config, 0.5, candidates, 0, 3);
   expect_same_sweep(serial, parallel);
-}
-
-// --------------------------------------------------------------------------
-// PDHG: the row-blocked matvecs use fixed per-row sequential reductions, so
-// iterates are bit-identical for any parallelism value.
-
-TEST(ParallelPdhg, BitIdenticalIterates) {
-  Rng rng(9);
-  lp::LpModel model;
-  std::vector<std::size_t> vars;
-  for (int j = 0; j < 24; ++j)
-    vars.push_back(model.add_variable(0, rng.uniform(0.5, 2.0),
-                                      rng.uniform(-1, 1)));
-  for (int r = 0; r < 18; ++r) {
-    std::vector<std::size_t> cols;
-    std::vector<double> coeffs;
-    for (std::size_t j : vars) {
-      if (!rng.bernoulli(0.3)) continue;
-      cols.push_back(j);
-      coeffs.push_back(rng.uniform(-2, 2));
-    }
-    if (cols.empty()) continue;
-    model.add_row(lp::RowType::Ge, rng.uniform(-1, 0), cols, coeffs);
-  }
-
-  lp::PdhgOptions options;
-  options.max_iterations = 5000;
-  options.tolerance = 1e-9;  // run the full budget; compare raw iterates
-  options.parallel_nnz_threshold = 1;  // force the pool even on a tiny model
-
-  options.parallelism = 1;
-  const auto serial = lp::solve_pdhg(model, options);
-  for (std::size_t parallelism : {2u, 4u}) {
-    options.parallelism = parallelism;
-    const auto parallel = lp::solve_pdhg(model, options);
-    EXPECT_EQ(serial.status, parallel.status);
-    EXPECT_EQ(serial.objective, parallel.objective);
-    EXPECT_EQ(serial.dual_bound, parallel.dual_bound);
-    EXPECT_EQ(serial.x, parallel.x);
-    EXPECT_EQ(serial.y, parallel.y);
-  }
 }
 
 }  // namespace

@@ -46,10 +46,9 @@ mcperf::Instance case_study(double tqos) {
   return core::make_case_study(config).web_instance(tqos);
 }
 
-bounds::BoundOptions serial(bounds::BoundOptions::Solver solver) {
+bounds::BoundOptions unrounded(bounds::BoundOptions::Solver solver) {
   bounds::BoundOptions options;
   options.solver = solver;
-  options.parallelism = 1;
   options.run_rounding = false;
   return options;
 }
@@ -61,9 +60,9 @@ TEST(SolverPolicy, AutoSolvesQ99ReplicaConstrainedExactly) {
   const auto instance = case_study(0.99);
   const auto spec = mcperf::classes::replica_constrained();
   const auto automatic = bounds::compute_bound_detail(
-      instance, spec, serial(bounds::BoundOptions::Solver::Auto));
+      instance, spec, unrounded(bounds::BoundOptions::Solver::Auto));
   const auto forced = bounds::compute_bound(
-      instance, spec, serial(bounds::BoundOptions::Solver::Simplex));
+      instance, spec, unrounded(bounds::BoundOptions::Solver::Simplex));
   ASSERT_EQ(automatic.bound.lp_rows, 4394u);
   ASSERT_EQ(automatic.bound.status, lp::SolveStatus::Optimal);
   EXPECT_EQ(automatic.bound.solver.path, bounds::SolverRun::Path::Simplex);
@@ -78,7 +77,7 @@ TEST(SolverPolicy, ExhaustedBudgetFallsBackToPdhg) {
   const auto instance =
       core::make_case_study(core::CaseStudyConfig::small()).web_instance(0.9);
   const auto spec = mcperf::classes::general();
-  auto options = serial(bounds::BoundOptions::Solver::Auto);
+  auto options = unrounded(bounds::BoundOptions::Solver::Auto);
   options.simplex.max_iterations = 5;  // far below what the LP needs
   const auto fallback = bounds::compute_bound_detail(instance, spec, options);
   EXPECT_EQ(counter("bounds.pdhg_fallback"), 1.0);
@@ -93,7 +92,7 @@ TEST(SolverPolicy, ExhaustedBudgetFallsBackToPdhg) {
   EXPECT_EQ(again.solution.iterations, fallback.solution.iterations);
 
   const auto exact = bounds::compute_bound(
-      instance, spec, serial(bounds::BoundOptions::Solver::Simplex));
+      instance, spec, unrounded(bounds::BoundOptions::Solver::Simplex));
   ASSERT_EQ(exact.status, lp::SolveStatus::Optimal);
   EXPECT_GT(fallback.bound.lower_bound, 0.0);
   EXPECT_LE(fallback.bound.lower_bound,
@@ -109,7 +108,7 @@ TEST(SolverPolicy, CapsAreNamed) {
   MetricsScope metrics;
   const auto instance =
       core::make_case_study(core::CaseStudyConfig::small()).web_instance(0.9);
-  auto pdhg = serial(bounds::BoundOptions::Solver::Pdhg);
+  auto pdhg = unrounded(bounds::BoundOptions::Solver::Pdhg);
   pdhg.pdhg.max_iterations = 200;
   const auto capped =
       bounds::compute_bound(instance, mcperf::classes::general(), pdhg);
@@ -136,7 +135,7 @@ TEST(SolverPolicy, CapsAreNamed) {
     if (!cols.empty()) wide.add_row(lp::RowType::Ge, -2, cols, coeffs);
   }
   while (wide.variable_count() < 30'000) wide.add_variable(0, 1, 1);
-  auto budgeted = serial(bounds::BoundOptions::Solver::Pdhg);
+  auto budgeted = unrounded(bounds::BoundOptions::Solver::Pdhg);
   budgeted.pdhg.tolerance = 0;
   budgeted.pdhg.check_period = budgeted.pdhg.max_iterations;
   const auto share = static_cast<std::size_t>(
@@ -148,7 +147,7 @@ TEST(SolverPolicy, CapsAreNamed) {
   EXPECT_EQ(run.solution.iterations, share);
   EXPECT_EQ(bounds::to_string(run.solver), "pdhg (iteration cap)");
 
-  auto simplex = serial(bounds::BoundOptions::Solver::Simplex);
+  auto simplex = unrounded(bounds::BoundOptions::Solver::Simplex);
   simplex.simplex.max_iterations = 5;
   const auto stopped =
       bounds::compute_bound(instance, mcperf::classes::general(), simplex);
@@ -164,7 +163,6 @@ TEST(SolverPolicy, DaemonNeverSpendsTheBudget) {
   auto instance = case_study(0.9);
   service::DaemonOptions options;
   options.spec = mcperf::classes::general();
-  options.bounds.parallelism = 1;
   service::PlacementDaemon daemon(instance, options);
   const auto start = daemon.start();
   ASSERT_TRUE(start.achievable);
